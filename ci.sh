@@ -5,6 +5,13 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every test step runs under a time limit, so a hang fails CI instead of
+# stalling it. The limit also covers compiling the step's test binaries:
+# from an empty target directory on a 2-core x86-64 host the slowest step,
+# `cargo test --workspace --features chaos`, took 135 s (the whole script
+# 511 s), so 900 s leaves over 6x headroom.
+TEST_TIMEOUT=900
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -15,21 +22,21 @@ echo "==> cargo build --workspace --benches"
 cargo build --workspace --benches
 
 echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+timeout "$TEST_TIMEOUT" cargo test --workspace -q
 
 echo "==> chaos tests (fault injection + deterministic concurrency kit)"
 # The chaos feature swaps the fault-point macros from compile-time no-ops
 # to the scripted testkit registry; tier-1 tests above run without it, so
 # this job cannot change their outcome.
 cargo clippy --workspace --all-targets --features chaos -- -D warnings
-cargo test --workspace --features chaos -q
+timeout "$TEST_TIMEOUT" cargo test --workspace --features chaos -q
 
 echo "==> recovery job (durable execution: leases, fencing, resume)"
 # Focused re-run of the durability suite: exact counts under scripted
 # worker kills and zombie acks, seeded random kill/stall schedules with
 # a snapshot/cancel/resume cut on every engine, and the wedge path.
-cargo test -p tdfs-service --test durable -q
-cargo test -p tdfs-service --features chaos --test chaos_durable -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --test durable -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --features chaos --test chaos_durable -q
 # Lease-overhead guard (BENCH_lease.json, asserts <5% geomean): timing
 # is machine-sensitive, so it is opt-in like the TSAN pass.
 if [[ "${TDFS_BENCH_GUARD:-0}" == "1" ]]; then
@@ -43,8 +50,8 @@ echo "==> overload job (governor: budget, shedding, brownout)"
 # memory budget, suspend/resume exactness on every engine, sojourn
 # shedding, the cost gate, and the breaker lifecycle — plus the
 # chaos-scripted phantom-pressure suspension.
-cargo test -p tdfs-service --test overload -q
-cargo test -p tdfs-service --features chaos --test chaos -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --test overload -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --features chaos --test chaos -q
 # Governor-overhead guard (BENCH_overload.json, asserts the unloaded
 # path stays <5% geomean over a stock service); opt-in like the above.
 if [[ "${TDFS_BENCH_GUARD:-0}" == "1" ]]; then
@@ -60,9 +67,18 @@ echo "==> dynamic job (delta CSR, standing queries, match-delta exactness)"
 # resume fenced to the graph version, and the chaos storm (midbatch
 # crashes invisible, dropped notifications retried to exactly-once,
 # kill/stall storms over maintenance still exact).
-cargo test -p tdfs-graph --test delta_prop -q
-cargo test -p tdfs-service --test standing -q
-cargo test -p tdfs-service --features chaos --test chaos_standing -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-graph --test delta_prop -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --test standing -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --features chaos --test chaos_standing -q
+# The service benchmark's own tests, then a standing_churn run: its
+# oracle checks every read against the running count built from the
+# standing deltas, and the final ring recount; it exits non-zero on any
+# wrong answer. It runs the benchmark's own 20 s, because the benchmark
+# also exits non-zero when a 4 s segment leaves fewer than 10 samples
+# beyond the p90, and shorter runs risk that on a slow or loaded host.
+timeout "$TEST_TIMEOUT" cargo test --manifest-path perfbench/Cargo.toml -q
+timeout "$TEST_TIMEOUT" cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload standing_churn --seed 1 --seconds 20 --trace 0 >/dev/null
 # Maintenance-speedup guard (BENCH_delta.json, asserts incremental
 # beats a full rescan >= 5x at 1% churn); opt-in like the above.
 if [[ "${TDFS_BENCH_GUARD:-0}" == "1" ]]; then
@@ -80,11 +96,11 @@ echo "==> storage job (TDFSGRPH container, mmap reader, disk catalog)"
 # memory budget exact on every engine, reopen at the same GraphVersion
 # with overlays intact, persisted suspended queries resumed to the
 # uninterrupted count — plus the torn-sidecar-write chaos cut.
-cargo test -p tdfs-graph --test container_golden -q
-cargo test -p tdfs-graph --test container_corrupt -q
-cargo test -p tdfs-graph --test container_prop -q
-cargo test -p tdfs-service --test storage -q
-cargo test -p tdfs-service --features chaos --test chaos_storage -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-graph --test container_golden -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-graph --test container_corrupt -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-graph --test container_prop -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --test storage -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --features chaos --test chaos_storage -q
 # Storage guard (BENCH_storage.json, asserts the CRC-verified mmap open
 # is >= 10x a text re-parse and warm mapped queries stay < 15% over the
 # heap CSR); timing-sensitive, so opt-in like the other bench guards.
@@ -103,9 +119,9 @@ echo "==> crashsim job (simulated power loss, intent journal, tdfsck)"
 # journal, missing sidecar — each classified and repaired), and the
 # chaos cut killing a cluster node mid-adoption to rejoin through its
 # journal.
-cargo test -p tdfs-service --test crashsim -q
-cargo test -p tdfs-service --test fsck -q
-cargo test -p tdfs-cluster --features chaos --test chaos_cluster -q node_killed_mid_adoption
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --test crashsim -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --test fsck -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-cluster --features chaos --test chaos_cluster -q node_killed_mid_adoption
 
 echo "==> cluster job (replicated shards, snapshot failover, network chaos)"
 # Focused re-run of the multi-node tier: the fault-free protocol suite
@@ -115,8 +131,8 @@ echo "==> cluster job (replicated shards, snapshot failover, network chaos)"
 # partitioned node fenced by the lease epoch so its late ack lands
 # exactly once, frame drop/duplicate storms absorbed by the seq cache,
 # and the seeded sweep over every engine x K3/K4/house x kill/partition.
-cargo test -p tdfs-cluster --test cluster -q
-cargo test -p tdfs-cluster --features chaos --test chaos_cluster -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-cluster --test cluster -q
+timeout "$TEST_TIMEOUT" cargo test -p tdfs-cluster --features chaos --test chaos_cluster -q
 # Distributed-overhead guard (BENCH_cluster.json, asserts a 1-node
 # cluster stays <10% geomean over the same query in-process);
 # timing-sensitive, so opt-in like the other bench guards.
@@ -134,9 +150,9 @@ echo "==> simd job (AVX2 lane kernels, scalar oracle differential)"
 # fallback inside a feature-compiled build — proving the dispatch seam
 # itself, not just the two kernel sets.
 cargo clippy --workspace --all-targets --features simd -- -D warnings
-cargo test --workspace --features simd -q
+timeout "$TEST_TIMEOUT" cargo test --workspace --features simd -q
 echo "==> simd job: scalar fallback (TDFS_NO_SIMD=1 on the simd build)"
-TDFS_NO_SIMD=1 cargo test -p tdfs-gpu -p tdfs-core --features simd -q
+TDFS_NO_SIMD=1 timeout "$TEST_TIMEOUT" cargo test -p tdfs-gpu -p tdfs-core --features simd -q
 # Speedup guard (BENCH_intersect.json, asserts the vector lanes hold a
 # >= 1.5x geomean over scalar on the 1:1 and 1:32 shapes and never
 # regress modeled bytes-touched); timing-sensitive, so opt-in — and it
@@ -154,7 +170,7 @@ fi
 if [[ "${TDFS_NIGHTLY_TSAN:-0}" == "1" ]]; then
     echo "==> ThreadSanitizer (nightly): queue + arena test binaries"
     RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
-        cargo +nightly test -Z build-std --target x86_64-unknown-linux-gnu \
+        timeout "$TEST_TIMEOUT" cargo +nightly test -Z build-std --target x86_64-unknown-linux-gnu \
         -p tdfs-gpu -p tdfs-mem -q
 else
     echo "==> ThreadSanitizer: skipped (set TDFS_NIGHTLY_TSAN=1 to run)"

@@ -16,7 +16,7 @@
 //! stacks) over the oversized level.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use tdfs_gpu::device::Device;
@@ -44,8 +44,9 @@ pub enum EngineError {
     /// (Fig. 11: "'T' means > 1000 s").
     TimeLimit,
     /// A worker thread executing the query panicked. Raised by the
-    /// service layer's poisoned-worker recovery, not by the engines
-    /// themselves (an in-engine warp panic propagates).
+    /// service layer's poisoned-worker recovery. Inside an engine run a
+    /// panicking warp's drop guard records it so the other warps stop,
+    /// but the run itself still panics: the panic propagates.
     WorkerPanicked,
     /// The query made no progress despite repeated lease reclaims — a
     /// task kept being re-granted past the durable layer's epoch limit.
@@ -76,6 +77,24 @@ impl std::error::Error for EngineError {}
 impl From<StackError> for EngineError {
     fn from(e: StackError) -> Self {
         EngineError::Stack(e)
+    }
+}
+
+/// Records [`EngineError::WorkerPanicked`] in a run's error cell when the
+/// warp holding it unwinds. The other warps then see a failed run and
+/// leave their termination wait, which counts on every warp turning
+/// idle, and the enclosing thread scope re-raises the panic once they
+/// have exited.
+pub(crate) struct PanicGuard<'a>(pub(crate) &'a Mutex<Option<EngineError>>);
+
+impl Drop for PanicGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(EngineError::WorkerPanicked);
+        }
     }
 }
 
@@ -171,16 +190,21 @@ pub enum InitialSource {
 }
 
 /// The four edge-filter conditions of §III ("Algorithm Optimizations"),
-/// plus the position-0/1 symmetry constraint when one exists.
+/// plus the position-0/1 symmetry constraint when one exists. The checks
+/// that read no graph run first, then `v1`'s, then `v2`'s.
 #[inline]
 pub fn edge_admitted<V: GraphView>(g: &V, plan: &QueryPlan, v1: u32, v2: u32) -> bool {
-    let l0 = &plan.levels[0];
+    pair_admitted(plan, v1, v2)
+        && vertex_admitted(g, plan, 0, v1)
+        && vertex_admitted(g, plan, 1, v2)
+}
+
+/// Distinct endpoints in the order the position-0/1 symmetry constraint
+/// asks for, if there is one.
+#[inline]
+fn pair_admitted(plan: &QueryPlan, v1: u32, v2: u32) -> bool {
     let l1 = &plan.levels[1];
-    g.degree(v1) >= l0.degree
-        && g.degree(v2) >= l1.degree
-        && g.label(v1) == l0.label
-        && g.label(v2) == l1.label
-        && v1 != v2
+    v1 != v2
         && l1.greater_than.iter().all(|&j| {
             debug_assert_eq!(j, 0);
             v1 < v2
@@ -191,12 +215,31 @@ pub fn edge_admitted<V: GraphView>(g: &V, plan: &QueryPlan, v1: u32, v2: u32) ->
         })
 }
 
+/// Plan level `level`'s degree and label test on `v`.
+#[inline]
+fn vertex_admitted<V: GraphView>(g: &V, plan: &QueryPlan, level: usize, v: u32) -> bool {
+    let l = &plan.levels[level];
+    g.degree(v) >= l.degree && g.label(v) == l.label
+}
+
 /// Host-side single-threaded edge filtering (STMatch's preprocessing
-/// step, "it can become a bottleneck on big graphs", §IV-B).
+/// step, "it can become a bottleneck on big graphs", §IV-B): the
+/// admitted arcs in row-major order. A row whose source fails level 0 is
+/// skipped whole.
 pub fn host_filter_edges<V: GraphView>(g: &V, plan: &QueryPlan) -> Vec<(u32, u32)> {
-    g.arcs()
-        .filter(|&(u, v)| edge_admitted(g, plan, u, v))
-        .collect()
+    let mut edges = Vec::new();
+    for v1 in 0..g.num_vertices() as u32 {
+        if !vertex_admitted(g, plan, 0, v1) {
+            continue;
+        }
+        edges.extend(
+            g.neighbors(v1)
+                .iter()
+                .filter(|&&v2| pair_admitted(plan, v1, v2) && vertex_admitted(g, plan, 1, v2))
+                .map(|&v2| (v1, v2)),
+        );
+    }
+    edges
 }
 
 /// Runs the timeout / no-steal / new-kernel strategies on one device.
@@ -311,14 +354,17 @@ pub fn run_on_device_from<V: GraphView>(
         for _ in 0..cfg.num_warps {
             let shared = &shared;
             let factory = &factory;
-            handles.push(scope.spawn(move || match factory {
-                StackFactory::Array { .. } => {
-                    let stack = WarpStack::<ArrayLevel>::new_array(factory, k);
-                    warp_main(shared, factory, stack, scope)
-                }
-                StackFactory::Paged { .. } => {
-                    let stack = WarpStack::<PagedLevel>::new_paged(factory, k);
-                    warp_main(shared, factory, stack, scope)
+            handles.push(scope.spawn(move || {
+                let _guard = PanicGuard(&shared.error);
+                match factory {
+                    StackFactory::Array { .. } => {
+                        let stack = WarpStack::<ArrayLevel>::new_array(factory, k);
+                        warp_main(shared, factory, stack, scope)
+                    }
+                    StackFactory::Paged { .. } => {
+                        let stack = WarpStack::<PagedLevel>::new_paged(factory, k);
+                        warp_main(shared, factory, stack, scope)
+                    }
                 }
             }));
         }
@@ -872,6 +918,7 @@ where
         let chunk = chunk.to_vec();
         let prefix = prefix.clone();
         scope.spawn(move || {
+            let _guard = PanicGuard(&shared.error);
             // The launch cost: a brand-new stack allocation per child.
             let mut stack: WarpStack<L> = factory.make_stack(k);
             let mut ws = Workspace::with_simd(shared.cfg.simd);

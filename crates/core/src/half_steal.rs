@@ -25,7 +25,7 @@ use crate::candidates::{
     accept, fill_level, fuse_leaf_level, separate_injectivity_pass, Workspace,
 };
 use crate::config::{ArrayCapacity, MatcherConfig, StackConfig};
-use crate::engine::{edge_admitted, host_filter_edges, EngineError};
+use crate::engine::{edge_admitted, host_filter_edges, EngineError, PanicGuard};
 use crate::sink::MatchSink;
 use crate::stats::{RunResult, RunStats};
 
@@ -181,6 +181,7 @@ fn run_inner<V: GraphView>(
             let edges_admitted = &edges_admitted;
             let edges_filtered = &edges_filtered;
             handles.push(scope.spawn(move || {
+                let _guard = PanicGuard(error);
                 warp_loop(
                     g,
                     plan,

@@ -86,6 +86,16 @@ pub enum GraphError {
         /// The out-of-range label value.
         label: Label,
     },
+    /// A persisted delta overlay contradicts its base: it inserts an edge
+    /// the base already has, or deletes one the base lacks.
+    OverlayMismatch {
+        /// The smaller endpoint.
+        u: VertexId,
+        /// The larger endpoint.
+        v: VertexId,
+        /// Whether the edge is listed as an insert (else as a delete).
+        insert: bool,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -117,6 +127,19 @@ impl fmt::Display for GraphError {
             }
             GraphError::LabelOutOfRange { vertex, label } => {
                 write!(f, "label {label} of vertex {vertex} exceeds the i32 range")
+            }
+            GraphError::OverlayMismatch { u, v, insert: true } => {
+                write!(
+                    f,
+                    "overlay inserts edge ({u}, {v}), which the base already has"
+                )
+            }
+            GraphError::OverlayMismatch {
+                u,
+                v,
+                insert: false,
+            } => {
+                write!(f, "overlay deletes edge ({u}, {v}), which the base lacks")
             }
         }
     }

@@ -1,17 +1,25 @@
-//! Batch-dynamic graphs: an immutable CSR base plus per-vertex edge
-//! deltas, monotonically versioned.
+//! Batch-dynamic graphs: an immutable CSR base plus a dense overlay of
+//! merged rows, monotonically versioned.
 //!
-//! [`DeltaCsr`] is the serving-tier mutation story (ROADMAP item 2,
-//! after "GPU-Accelerated Batch-Dynamic Subgraph Matching"): the graph
-//! in the catalog stays an immutable [`CsrGraph`] base, and a batch of
-//! edge insertions/deletions is *applied* copy-on-write — [`apply`]
-//! returns a **new** `DeltaCsr` at version `v + 1` while every in-flight
-//! query keeps matching against the old value it holds. A touched
-//! vertex's adjacency is materialized as a merged, sorted overlay row,
-//! so the engines (via [`GraphView`]) and the warp intersection kernels
-//! still consume plain sorted `&[u32]` slices; untouched vertices read
-//! straight from the base with no per-edge indirection. Periodic
-//! [`compact`] folds the accumulated deltas into a fresh base.
+//! [`DeltaCsr`] is the serving-tier mutation story (after
+//! "GPU-Accelerated Batch-Dynamic Subgraph Matching"): the graph in the
+//! catalog stays an immutable [`CsrGraph`] base, and a batch of edge
+//! insertions/deletions is *applied* copy-on-write — [`apply`] returns a
+//! **new** `DeltaCsr` at version `v + 1` while every in-flight query
+//! keeps matching against the old value it holds.
+//!
+//! The overlay is indexed, never hashed. A vertex whose adjacency differs
+//! from the base owns one merged, sorted row (an `Arc<[u32]>`) that a
+//! per-vertex slot index points at; versions share every row a batch
+//! leaves alone, so an apply allocates only the rows it re-merges. The
+//! view's row offsets, rebuilt with the slots on every apply, give each
+//! degree and the row-major arc order. So on a touched view
+//! `neighbors` is one slot load plus the row (or base) read, `degree` is
+//! two offset loads and `arc` a binary search over the offsets, and the
+//! engines (via [`GraphView`]) and the warp intersection kernels still
+//! consume plain sorted `&[u32]` slices. A compact view — no vertex
+//! touched — holds no slots, rows or offsets and reads the base
+//! directly. Periodic [`compact`] folds the overlay into a fresh base.
 //!
 //! Batch semantics are `G' = (G \ D) ∪ I` with self-loops and
 //! duplicates ignored: within one batch, deletes apply before inserts,
@@ -23,8 +31,8 @@
 //! [`apply`]: DeltaCsr::apply
 //! [`compact`]: DeltaCsr::compact
 
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::mem::{size_of, size_of_val};
 use std::sync::Arc;
 
 use crate::csr::{CsrGraph, GraphError, Label, VertexId};
@@ -162,6 +170,16 @@ impl GraphView for GraphBase {
             GraphBase::Mapped(m) => GraphView::arc(&**m, i),
         }
     }
+
+    /// Forwarded so a mapped base answers from its offsets section
+    /// instead of decoding the row.
+    #[inline]
+    fn degree(&self, v: VertexId) -> usize {
+        match self {
+            GraphBase::Heap(g) => g.degree(v),
+            GraphBase::Mapped(m) => GraphView::degree(&**m, v),
+        }
+    }
 }
 
 /// A normalized undirected edge list (`u < v`, sorted, deduplicated).
@@ -259,7 +277,13 @@ impl AppliedBatch {
     }
 }
 
-/// An immutable CSR base plus per-vertex sorted insert/delete deltas,
+/// Slot of a vertex that reads its base row.
+const BASE_ROW: u32 = u32::MAX;
+
+/// One directed adjacency change `(vertex, neighbor, insert)`.
+type Change = (VertexId, VertexId, bool);
+
+/// An immutable CSR base plus a dense overlay of merged rows,
 /// monotonically versioned. See the module docs for semantics.
 ///
 /// The vertex set is fixed by the base (edge churn, not vertex churn, is
@@ -268,18 +292,18 @@ impl AppliedBatch {
 pub struct DeltaCsr {
     base: GraphBase,
     version: GraphVersion,
-    /// Cumulative per-vertex inserted neighbors vs the base, sorted.
-    ins: HashMap<VertexId, Vec<VertexId>>,
-    /// Cumulative per-vertex deleted neighbors vs the base, sorted.
-    del: HashMap<VertexId, Vec<VertexId>>,
-    /// Merged adjacency rows for touched vertices (base ∖ del ∪ ins),
-    /// sorted — what [`GraphView::neighbors`] hands to the warp kernels.
-    overlay: HashMap<VertexId, Vec<VertexId>>,
-    /// Row offsets of the *view* (`n + 1` entries), rebuilt per apply;
-    /// empty while the overlay is empty (pure-base fast path).
+    /// Per-vertex index into `rows`, [`BASE_ROW`] where the view reads
+    /// the base row; empty while the view is compact.
+    slots: Vec<u32>,
+    /// The rows that differ from the base, sorted, in vertex order —
+    /// what [`GraphView::neighbors`] hands to the warp kernels. Versions
+    /// share the rows a batch did not touch.
+    rows: Vec<Arc<[VertexId]>>,
+    /// Row offsets of the view (`n + 1` entries), rebuilt per apply;
+    /// empty while the view is compact.
     offsets: Vec<usize>,
     arcs: usize,
-    /// Upper bound on the view's max degree (exact when compact).
+    /// The view's maximum degree (the base's while compact).
     max_degree: usize,
 }
 
@@ -301,9 +325,8 @@ impl DeltaCsr {
         Self {
             base,
             version: 0,
-            ins: HashMap::new(),
-            del: HashMap::new(),
-            overlay: HashMap::new(),
+            slots: Vec::new(),
+            rows: Vec::new(),
             offsets: Vec::new(),
             arcs,
             max_degree,
@@ -326,56 +349,73 @@ impl DeltaCsr {
     /// `DeltaCsr` they were captured from, at `version`.
     ///
     /// Errors with [`GraphError::NeighborOutOfRange`] if an endpoint
-    /// exceeds the base's vertex set — a persisted overlay that does not
-    /// match its container must be rejected, not trusted.
+    /// exceeds the base's vertex set, and with
+    /// [`GraphError::OverlayMismatch`] if an insert is already in the
+    /// base or a delete is missing from it — a persisted overlay that
+    /// does not match its container must be rejected, not trusted.
     pub fn with_overlay(
         base: GraphBase,
         version: GraphVersion,
         inserts: &[(VertexId, VertexId)],
         deletes: &[(VertexId, VertexId)],
     ) -> Result<DeltaCsr, GraphError> {
-        let mut d = Self::from_graph_base(base);
-        let n = d.num_vertices();
-        let mut touched = BTreeSet::new();
+        let d = Self::at_version(base, version);
+        let mut changes = Vec::with_capacity(2 * (inserts.len() + deletes.len()));
         for (edges, insert) in [(deletes, false), (inserts, true)] {
             for &(u, v) in edges {
-                if u as usize >= n || v as usize >= n {
-                    return Err(GraphError::NeighborOutOfRange {
-                        vertex: u.min(v) as usize,
-                        neighbor: u.max(v),
-                    });
-                }
+                d.check_endpoints(u, v)?;
                 if u == v {
                     continue;
                 }
-                d.record(u, v, insert);
-                d.record(v, u, insert);
-                touched.insert(u);
-                touched.insert(v);
+                if d.base.has_edge(u, v) == insert {
+                    return Err(GraphError::OverlayMismatch {
+                        u: u.min(v),
+                        v: u.max(v),
+                        insert,
+                    });
+                }
+                changes.extend([(u, v, insert), (v, u, insert)]);
             }
         }
-        for &v in &touched {
-            d.remerge(v);
-        }
-        d.reindex();
-        d.version = version;
-        Ok(d)
+        changes.sort_unstable();
+        changes.dedup();
+        Ok(d.with_changes(&changes))
     }
 
     /// The cumulative effective overlay vs the base as normalized
     /// (`u < v`, sorted, deduplicated) edge lists `(inserted, deleted)`
     /// — what the disk catalog persists so
-    /// [`with_overlay`](Self::with_overlay) can rebuild this view.
+    /// [`with_overlay`](Self::with_overlay) can rebuild this view. Each
+    /// touched row is diffed against its base row.
     pub fn overlay_edges(&self) -> (EdgeList, EdgeList) {
-        let collect = |map: &HashMap<VertexId, Vec<VertexId>>| {
-            let mut edges: EdgeList = map
-                .iter()
-                .flat_map(|(&u, ws)| ws.iter().filter(move |&&w| u < w).map(move |&w| (u, w)))
-                .collect();
-            edges.sort_unstable();
-            edges
-        };
-        (collect(&self.ins), collect(&self.del))
+        let (mut inserted, mut deleted) = (Vec::new(), Vec::new());
+        for (u, &slot) in self.slots.iter().enumerate() {
+            if slot == BASE_ROW {
+                continue;
+            }
+            let u = u as VertexId;
+            let (row, base) = (&self.rows[slot as usize][..], self.base.neighbors(u));
+            let (mut i, mut j) = (0, 0);
+            loop {
+                match (row.get(i), base.get(j)) {
+                    (Some(r), Some(b)) if r == b => (i, j) = (i + 1, j + 1),
+                    (Some(&r), b) if b.is_none_or(|&b| r < b) => {
+                        if u < r {
+                            inserted.push((u, r));
+                        }
+                        i += 1;
+                    }
+                    (_, Some(&b)) => {
+                        if u < b {
+                            deleted.push((u, b));
+                        }
+                        j += 1;
+                    }
+                    _ => break,
+                }
+            }
+        }
+        (inserted, deleted)
     }
 
     /// The immutable base this view layers its deltas over.
@@ -398,36 +438,30 @@ impl DeltaCsr {
 
     /// Whether the view carries no deltas (reads go straight to base).
     pub fn is_compact(&self) -> bool {
-        self.overlay.is_empty()
+        self.rows.is_empty()
     }
 
     /// Vertices whose adjacency differs from the base.
     pub fn touched_vertices(&self) -> usize {
-        self.overlay.len()
+        self.rows.len()
     }
 
-    /// Neighbors of `v` inserted since the base, sorted.
-    pub fn inserts_at(&self, v: VertexId) -> &[VertexId] {
-        self.ins.get(&v).map_or(&[], Vec::as_slice)
-    }
-
-    /// Neighbors of `v` deleted since the base, sorted.
-    pub fn deletes_at(&self, v: VertexId) -> &[VertexId] {
-        self.del.get(&v).map_or(&[], Vec::as_slice)
-    }
-
-    /// Approximate heap bytes held by the delta overlay (records, merged
-    /// rows and offsets) — what a serving tier charges against its
-    /// memory budget between compactions.
+    /// Heap bytes the view holds beyond its base: the slot index, the
+    /// offsets, and every row's allocation (its reference counts, entries
+    /// and padding) — what a serving tier charges against its memory
+    /// budget between compactions. A row shared with other versions
+    /// counts in full for each of them. Zero while compact.
     pub fn overlay_bytes(&self) -> usize {
-        let records: usize = self
-            .ins
-            .values()
-            .chain(self.del.values())
-            .chain(self.overlay.values())
-            .map(|v| v.len() * std::mem::size_of::<VertexId>() + std::mem::size_of::<usize>())
+        let rows: usize = self
+            .rows
+            .iter()
+            .map(|r| {
+                (2 * size_of::<usize>() + size_of_val(&**r)).next_multiple_of(size_of::<usize>())
+            })
             .sum();
-        records + self.offsets.len() * std::mem::size_of::<usize>()
+        rows + self.rows.capacity() * size_of::<Arc<[VertexId]>>()
+            + self.slots.capacity() * size_of::<u32>()
+            + self.offsets.capacity() * size_of::<usize>()
     }
 
     /// Number of vertices (fixed by the base).
@@ -448,9 +482,8 @@ impl DeltaCsr {
         self.arcs
     }
 
-    /// Upper bound on the view's maximum degree (exact when
-    /// [`is_compact`](Self::is_compact); sufficient for stack-capacity
-    /// sizing either way).
+    /// The view's maximum degree: rebuilt with the offsets on every
+    /// apply, the base's own figure while compact.
     #[inline]
     pub fn max_degree(&self) -> usize {
         self.max_degree
@@ -459,19 +492,19 @@ impl DeltaCsr {
     /// Sorted neighbor list of `v` in the view.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        if self.overlay.is_empty() {
-            return self.base.neighbors(v);
-        }
-        match self.overlay.get(&v) {
-            Some(row) => row,
-            None => self.base.neighbors(v),
+        match self.slots.get(v as usize) {
+            Some(&slot) if slot != BASE_ROW => &self.rows[slot as usize],
+            _ => self.base.neighbors(v),
         }
     }
 
-    /// Degree of `v` in the view.
+    /// Degree of `v` in the view, from the row offsets.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.neighbors(v).len()
+        match self.offsets.get(v as usize..v as usize + 2) {
+            Some(&[start, end]) => end - start,
+            _ => self.base.degree(v),
+        }
     }
 
     /// O(log d) adjacency test against the view.
@@ -500,7 +533,7 @@ impl DeltaCsr {
 
     /// The `i`-th directed arc of the view in row-major order.
     pub fn arc(&self, i: usize) -> (VertexId, VertexId) {
-        if self.overlay.is_empty() {
+        if self.offsets.is_empty() {
             return self.base.arc(i);
         }
         debug_assert!(i < self.arcs);
@@ -513,33 +546,16 @@ impl DeltaCsr {
     /// `v + 1` plus the [`AppliedBatch`] of effective changes, leaving
     /// `self` (and every clone held by in-flight queries) untouched.
     ///
-    /// Cost is O(touched-vertex adjacency + n) per call — the delta maps
-    /// are cloned, mutated rows re-merged, and the view's row offsets
-    /// rebuilt; the base is never copied.
+    /// Cost is O(n + changed-row lengths) per call: each vertex the batch
+    /// changes gets a re-merged row, every other row is shared with
+    /// `self`, and the slots and offsets are rebuilt in one pass; the
+    /// base is never copied.
     ///
     /// Errors with [`GraphError::NeighborOutOfRange`] if any endpoint is
     /// `>= num_vertices()` (the vertex set is fixed by the base).
     pub fn apply(&self, batch: &EdgeBatch) -> Result<(DeltaCsr, AppliedBatch), GraphError> {
-        let n = self.num_vertices();
-        let normalize =
-            |edges: &[(VertexId, VertexId)]| -> Result<BTreeSet<(VertexId, VertexId)>, GraphError> {
-                let mut set = BTreeSet::new();
-                for &(u, v) in edges {
-                    if u as usize >= n || v as usize >= n {
-                        return Err(GraphError::NeighborOutOfRange {
-                            vertex: u.min(v) as usize,
-                            neighbor: u.max(v),
-                        });
-                    }
-                    if u == v {
-                        continue; // self-loops are ignored, as in GraphBuilder
-                    }
-                    set.insert((u.min(v), u.max(v)));
-                }
-                Ok(set)
-            };
-        let ins_req = normalize(&batch.inserts)?;
-        let del_req = normalize(&batch.deletes)?;
+        let ins_req = self.normalize(&batch.inserts)?;
+        let del_req = self.normalize(&batch.deletes)?;
 
         // Effective sets under `G' = (G \ D) ∪ I`: an edge in both lists
         // nets out to "present", so it only counts as an insert when it
@@ -551,108 +567,109 @@ impl DeltaCsr {
                 .filter(|&(u, v)| !self.has_edge(u, v))
                 .collect(),
             deleted: del_req
-                .iter()
-                .copied()
-                .filter(|&(u, v)| self.has_edge(u, v) && !ins_req.contains(&(u, v)))
+                .into_iter()
+                .filter(|&(u, v)| self.has_edge(u, v) && ins_req.binary_search(&(u, v)).is_err())
                 .collect(),
         };
 
-        let mut next = self.clone();
+        let mut changes = Vec::with_capacity(2 * applied.len());
+        for (edges, insert) in [(&applied.inserted, true), (&applied.deleted, false)] {
+            for &(u, v) in edges {
+                changes.extend([(u, v, insert), (v, u, insert)]);
+            }
+        }
+        changes.sort_unstable();
+        let mut next = self.with_changes(&changes);
         next.version += 1;
-        let mut touched = BTreeSet::new();
-        for &(u, v) in &applied.deleted {
-            next.record(u, v, false);
-            next.record(v, u, false);
-            touched.insert(u);
-            touched.insert(v);
-        }
-        for &(u, v) in &applied.inserted {
-            next.record(u, v, true);
-            next.record(v, u, true);
-            touched.insert(u);
-            touched.insert(v);
-        }
-        for &v in &touched {
-            next.remerge(v);
-        }
-        next.reindex();
         Ok((next, applied))
     }
 
-    /// Records one directed delta `u -> v` into the cumulative per-vertex
-    /// insert/delete lists, cancelling against the opposite list first.
-    fn record(&mut self, u: VertexId, v: VertexId, insert: bool) {
-        let (fwd, bwd) = if insert {
-            (&mut self.ins, &mut self.del)
-        } else {
-            (&mut self.del, &mut self.ins)
-        };
-        if let Some(opp) = bwd.get_mut(&u) {
-            if let Ok(i) = opp.binary_search(&v) {
-                opp.remove(i);
-                if opp.is_empty() {
-                    bwd.remove(&u);
-                }
-                return;
-            }
-        }
-        let list = fwd.entry(u).or_default();
-        if let Err(i) = list.binary_search(&v) {
-            list.insert(i, v);
-        }
-    }
-
-    /// Rebuilds the merged overlay row of `v` (or drops it when the
-    /// vertex's deltas cancelled back to the base).
-    fn remerge(&mut self, v: VertexId) {
-        let ins = self.ins.get(&v).map_or(&[][..], Vec::as_slice);
-        let del = self.del.get(&v).map_or(&[][..], Vec::as_slice);
-        if ins.is_empty() && del.is_empty() {
-            self.overlay.remove(&v);
-            return;
-        }
-        let base = self.base.neighbors(v);
-        let mut row = Vec::with_capacity(base.len() + ins.len() - del.len().min(base.len()));
-        let mut i = 0;
-        for &b in base {
-            if del.binary_search(&b).is_ok() {
-                continue;
-            }
-            while i < ins.len() && ins[i] < b {
-                row.push(ins[i]);
-                i += 1;
-            }
-            row.push(b);
-        }
-        row.extend_from_slice(&ins[i..]);
-        self.overlay.insert(v, row);
-    }
-
-    /// Rebuilds the view row offsets, arc count and degree bound after a
-    /// batch of row re-merges.
-    fn reindex(&mut self) {
-        if self.overlay.is_empty() {
-            self.offsets = Vec::new();
-            self.arcs = self.base.num_arcs();
-            self.max_degree = self.base.max_degree();
-            return;
-        }
+    /// Errors with [`GraphError::NeighborOutOfRange`] unless both
+    /// endpoints are vertices of the base.
+    fn check_endpoints(&self, u: VertexId, v: VertexId) -> Result<(), GraphError> {
         let n = self.num_vertices();
+        if u as usize >= n || v as usize >= n {
+            return Err(GraphError::NeighborOutOfRange {
+                vertex: u.min(v) as usize,
+                neighbor: u.max(v),
+            });
+        }
+        Ok(())
+    }
+
+    /// `edges` as `u < v` pairs, sorted and deduplicated, with self-loops
+    /// dropped (ignored, as in `GraphBuilder`).
+    fn normalize(&self, edges: &[(VertexId, VertexId)]) -> Result<EdgeList, GraphError> {
+        let mut out = Vec::with_capacity(edges.len());
+        for &(u, v) in edges {
+            self.check_endpoints(u, v)?;
+            if u != v {
+                out.push((u.min(v), u.max(v)));
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        Ok(out)
+    }
+
+    /// This view with `changes` applied, at the same version. `changes`
+    /// is sorted, names each `(vertex, neighbor)` once and lists both
+    /// arcs of every edge. One pass over the vertices re-merges each
+    /// changed row from its current row (dropping it when it equals the
+    /// base row again), shares every other row, and rebuilds the slots,
+    /// offsets and maximum degree.
+    fn with_changes(&self, changes: &[Change]) -> DeltaCsr {
+        let n = self.num_vertices();
+        let mut slots = Vec::with_capacity(n);
+        let mut rows: Vec<Arc<[VertexId]>> = Vec::with_capacity(self.rows.len() + changes.len());
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
-        let mut overlay_max = 0usize;
+        let mut max_degree = 0;
+        let mut merged = Vec::new();
+        let mut rest = changes;
         for v in 0..n as VertexId {
-            let d = self.degree(v);
-            if self.overlay.contains_key(&v) {
-                overlay_max = overlay_max.max(d);
-            }
-            offsets.push(offsets[v as usize] + d);
+            let mine = rest.iter().take_while(|c| c.0 == v).count();
+            let row = if mine == 0 {
+                self.slots
+                    .get(v as usize)
+                    .filter(|&&slot| slot != BASE_ROW)
+                    .map(|&slot| Arc::clone(&self.rows[slot as usize]))
+            } else {
+                merge_row(self.neighbors(v), &rest[..mine], &mut merged);
+                rest = &rest[mine..];
+                let is_base =
+                    merged.len() == self.base.degree(v) && merged == self.base.neighbors(v);
+                (!is_base).then(|| Arc::from(&merged[..]))
+            };
+            let degree = match row {
+                Some(row) => {
+                    slots.push(rows.len() as u32);
+                    let degree = row.len();
+                    rows.push(row);
+                    degree
+                }
+                None => {
+                    slots.push(BASE_ROW);
+                    self.base.degree(v)
+                }
+            };
+            max_degree = max_degree.max(degree);
+            offsets.push(offsets[v as usize] + degree);
         }
-        self.arcs = *offsets.last().unwrap();
-        self.offsets = offsets;
-        // Upper bound: untouched rows are bounded by the base's max,
-        // touched rows by the overlay scan. Never shrinks below either.
-        self.max_degree = self.base.max_degree().max(overlay_max);
+        debug_assert!(rest.is_empty(), "every change names a vertex");
+        if rows.is_empty() {
+            return DeltaCsr::at_version(self.base.clone(), self.version);
+        }
+        rows.shrink_to_fit();
+        DeltaCsr {
+            base: self.base.clone(),
+            version: self.version,
+            slots,
+            rows,
+            arcs: offsets[n],
+            offsets,
+            max_degree,
+        }
     }
 
     /// Folds every delta into a fresh immutable base, preserving the
@@ -660,7 +677,7 @@ impl DeltaCsr {
     /// adjacency) with [`is_compact`](Self::is_compact) true and base
     /// read performance restored.
     pub fn compact(&self) -> DeltaCsr {
-        if self.overlay.is_empty() {
+        if self.rows.is_empty() {
             return self.clone();
         }
         let n = self.num_vertices();
@@ -680,13 +697,30 @@ impl DeltaCsr {
     }
 }
 
+/// `(row \ deletes) ∪ inserts` into `out`, for `changes` sorted by
+/// neighbor with each neighbor once. A set operation: the result is the
+/// same whether or not an insert is already in `row` or a delete absent.
+fn merge_row(row: &[VertexId], changes: &[Change], out: &mut Vec<VertexId>) {
+    out.clear();
+    let mut i = 0;
+    for &(_, w, insert) in changes {
+        let below = i + row[i..].partition_point(|&x| x < w);
+        out.extend_from_slice(&row[i..below]);
+        i = below + usize::from(row.get(below) == Some(&w));
+        if insert {
+            out.push(w);
+        }
+    }
+    out.extend_from_slice(&row[i..]);
+}
+
 impl fmt::Debug for DeltaCsr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DeltaCsr")
             .field("version", &self.version)
             .field("vertices", &self.num_vertices())
             .field("edges", &self.num_edges())
-            .field("touched", &self.overlay.len())
+            .field("touched", &self.rows.len())
             .field("compact", &self.is_compact())
             .finish()
     }
@@ -786,8 +820,10 @@ mod tests {
         assert_eq!(d.num_edges(), 4);
         assert!(d.has_edge(0, 2));
         assert!(!d.has_edge(2, 3));
-        assert_eq!(d.inserts_at(0), &[2]);
-        assert_eq!(d.deletes_at(3), &[2]);
+        assert_eq!(d.degree(0), 3);
+        assert_eq!(d.degree(3), 1);
+        assert_eq!(d.touched_vertices(), 3, "0, 2 and 3 differ from the base");
+        assert_eq!(d.overlay_edges(), (vec![(0, 2)], vec![(2, 3)]));
     }
 
     #[test]
@@ -900,21 +936,54 @@ mod tests {
     }
 
     #[test]
-    fn max_degree_stays_an_upper_bound() {
+    fn max_degree_is_exact() {
         let d = square();
         let (d, _) = d
             .apply(&EdgeBatch::new().insert(0, 2).insert(1, 3))
             .unwrap();
         let true_max = (0..4).map(|v| d.degree(v)).max().unwrap();
-        assert!(d.max_degree() >= true_max);
-        // After deleting around vertex 0 the bound may be stale but must
-        // still dominate every degree.
+        assert_eq!(d.max_degree(), true_max);
+        // Deleting around vertex 0 lowers the maximum too.
         let (d, _) = d
             .apply(&EdgeBatch::new().delete(0, 1).delete(0, 2).delete(0, 3))
             .unwrap();
         let true_max = (0..4).map(|v| d.degree(v)).max().unwrap();
-        assert!(d.max_degree() >= true_max);
-        assert_eq!(d.compact().max_degree(), true_max, "compaction is exact");
+        assert_eq!(d.max_degree(), true_max);
+        assert_eq!(d.compact().max_degree(), true_max);
+    }
+
+    #[test]
+    fn untouched_rows_are_shared_across_versions() {
+        let (v1, _) = square().apply(&EdgeBatch::new().insert(0, 2)).unwrap();
+        let (v2, _) = v1.apply(&EdgeBatch::new().insert(1, 3)).unwrap();
+        assert!(std::ptr::eq(v1.neighbors(0), v2.neighbors(0)));
+        assert!(!std::ptr::eq(v1.neighbors(1), v2.neighbors(1)));
+    }
+
+    #[test]
+    fn with_overlay_rejects_a_sidecar_that_contradicts_the_base() {
+        let path = || {
+            let g = GraphBuilder::new().edges([(0, 1), (1, 2), (2, 3)]).build();
+            GraphBase::Heap(Arc::new(g))
+        };
+        let err = DeltaCsr::with_overlay(path(), 1, &[(1, 0)], &[]).unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::OverlayMismatch {
+                u: 0,
+                v: 1,
+                insert: true
+            }
+        );
+        let err = DeltaCsr::with_overlay(path(), 1, &[], &[(0, 3)]).unwrap_err();
+        assert!(matches!(
+            err,
+            GraphError::OverlayMismatch { insert: false, .. }
+        ));
+        let d = DeltaCsr::with_overlay(path(), 4, &[(0, 3)], &[(1, 2)]).unwrap();
+        assert_eq!(d.version(), 4);
+        assert_eq!(d.neighbors(0), &[1, 3]);
+        assert_eq!(d.num_edges(), 3);
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! - [`view`] — the [`GraphView`] trait the matching engines are generic
 //!   over, so they run unmodified on base-or-delta adjacency;
 //! - [`delta`] — [`DeltaCsr`], the batch-dynamic graph: immutable CSR
-//!   base + per-vertex sorted edge deltas, monotonically versioned, with
-//!   copy-on-write [`apply`](DeltaCsr::apply) and periodic
-//!   [`compact`](DeltaCsr::compact);
+//!   base + a slot-indexed overlay of merged rows, monotonically
+//!   versioned, with copy-on-write [`apply`](DeltaCsr::apply) and
+//!   periodic [`compact`](DeltaCsr::compact);
 //! - [`container`] — the `TDFSGRPH` binary container format (versioned
 //!   header, varint/delta-coded adjacency segments, per-segment CRC32):
 //!   the on-disk tier for graphs that dwarf RAM;

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use tdfs_graph::rng::Rng;
-use tdfs_graph::{CsrGraph, DeltaCsr, EdgeBatch, GraphBuilder, GraphView};
+use tdfs_graph::{CsrGraph, DeltaCsr, EdgeBatch, GraphBuilder, GraphError, GraphView};
 
 const CASES: u64 = 48;
 const N: u32 = 40;
@@ -61,12 +61,21 @@ fn assert_view_equivalent(d: &DeltaCsr, rebuilt: &CsrGraph) {
     assert_eq!(d.num_edges(), rebuilt.num_edges());
     assert_eq!(d.num_arcs(), rebuilt.num_arcs());
     let mut true_max = 0;
+    let mut touched = 0;
     for v in 0..rebuilt.num_vertices() as u32 {
         assert_eq!(d.neighbors(v), rebuilt.neighbors(v), "vertex {v}");
+        assert_eq!(d.degree(v), rebuilt.degree(v), "degree of {v}");
+        for w in 0..rebuilt.num_vertices() as u32 {
+            assert_eq!(d.has_edge(v, w), rebuilt.has_edge(v, w), "pair ({v}, {w})");
+        }
         true_max = true_max.max(rebuilt.degree(v));
+        touched += usize::from(d.base().neighbors(v) != rebuilt.neighbors(v));
     }
-    // max_degree is documented as an upper bound, never an undercount.
-    assert!(d.max_degree() >= true_max);
+    // Exactly the vertices whose row differs from the base hold a row.
+    assert_eq!(d.touched_vertices(), touched);
+    assert_eq!(d.is_compact(), touched == 0);
+    // max_degree is rebuilt with the offsets on every apply: exact.
+    assert_eq!(d.max_degree(), true_max);
     // Arc indexing and iteration agree with the rebuilt CSR stream.
     for (i, (u, v)) in rebuilt.arcs().enumerate() {
         assert_eq!(d.arc(i), (u, v), "arc {i}");
@@ -95,8 +104,9 @@ fn delta_view_matches_rebuilt_csr_after_random_schedules() {
             assert_eq!(applied.inserted, inserted, "case {case} step {step}");
             assert_eq!(applied.deleted, deleted, "case {case} step {step}");
             assert_eq!(next.version(), d.version() + 1);
-            // Snapshot isolation: the pre-apply value is untouched.
-            assert_eq!(d.num_edges(), before.len());
+            // Snapshot isolation: the pre-apply value still reads its old
+            // rows, degrees and arcs (copy-on-write).
+            assert_view_equivalent(&d, &rebuild(&before));
             d = next;
             assert_view_equivalent(&d, &rebuild(&model));
         }
@@ -114,6 +124,46 @@ fn delta_view_matches_rebuilt_csr_after_random_schedules() {
         let (after, _) = compacted.apply(&batch).unwrap();
         model_apply(&mut model, &batch);
         assert_view_equivalent(&after, &rebuild(&model));
+    }
+}
+
+#[test]
+fn inserting_then_deleting_the_same_edges_returns_to_compact() {
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0xC0_4AC7 + case);
+        let mut model: BTreeSet<(u32, u32)> = BTreeSet::new();
+        model_apply(&mut model, &random_batch(&mut rng));
+        let base = Arc::new(rebuild(&model));
+        let mut d = DeltaCsr::from_base(Arc::clone(&base));
+        // Insert fresh edges over a few batches, then delete them again
+        // over a few others, in a different grouping.
+        let mut fresh = Vec::new();
+        for _ in 0..4 {
+            let batch = random_batch(&mut rng);
+            let (next, applied) = d
+                .apply(&EdgeBatch::inserting(batch.inserts().iter().copied()))
+                .unwrap();
+            fresh.extend(applied.inserted);
+            d = next;
+        }
+        assert_eq!(d.is_compact(), fresh.is_empty());
+        for i in (1..fresh.len()).rev() {
+            fresh.swap(i, rng.gen_range(0..i + 1));
+        }
+        for chunk in fresh.chunks(5) {
+            d = d
+                .apply(&EdgeBatch::deleting(chunk.iter().copied()))
+                .unwrap()
+                .0;
+        }
+        assert!(
+            d.is_compact(),
+            "case {case}: every row equals its base row again"
+        );
+        assert_eq!(d.overlay_bytes(), 0);
+        assert_eq!(d.touched_vertices(), 0);
+        assert_eq!(d.overlay_edges(), (Vec::new(), Vec::new()));
+        assert_view_equivalent(&d, &base);
     }
 }
 
@@ -234,15 +284,29 @@ fn overlay_edges_roundtrip_rebuilds_the_identical_view() {
         let heap_base = tdfs_graph::GraphBase::Heap(Arc::new(rebuild(&model)));
         assert_eq!(DeltaCsr::at_version(heap_base, 9).version(), 9);
 
-        // A corrupt persisted overlay (endpoint past the base) must be
+        // A corrupt persisted overlay (an endpoint past the base, an
+        // insert the base already has, a delete the base lacks) must be
         // rejected, not trusted.
         let n = d.num_vertices() as u32;
-        let bad = DeltaCsr::with_overlay(
-            tdfs_graph::GraphBase::Heap(Arc::new(rebuild(&model))),
-            1,
-            &[(0, n + 3)],
-            &[],
-        );
-        assert!(bad.is_err());
+        let heap_base = || tdfs_graph::GraphBase::Heap(Arc::new(base.clone()));
+        let bad = DeltaCsr::with_overlay(heap_base(), 1, &[(0, n + 3)], &[]);
+        assert!(matches!(bad, Err(GraphError::NeighborOutOfRange { .. })));
+        if let Some((u, v)) = base.arcs().find(|&(u, v)| u < v) {
+            let bad = DeltaCsr::with_overlay(heap_base(), 1, &[(u, v)], &[]);
+            assert!(
+                matches!(bad, Err(GraphError::OverlayMismatch { insert: true, .. })),
+                "insert already in the base"
+            );
+        }
+        let absent = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .find(|&(u, v)| !base.has_edge(u, v));
+        if let Some(e) = absent {
+            let bad = DeltaCsr::with_overlay(heap_base(), 1, &[], &[e]);
+            assert!(
+                matches!(bad, Err(GraphError::OverlayMismatch { insert: false, .. })),
+                "delete absent from the base"
+            );
+        }
     }
 }

@@ -176,6 +176,12 @@ impl PageArena {
     /// the only intended caller.
     pub fn free_page(&self, page: PageId) {
         debug_assert!((page as usize) < self.next.len());
+        // Uncount the page before it is back on the free list: once it is
+        // there another thread can pop and count it, and counting it
+        // twice would let `in_use` (and the peak) exceed the arena. The
+        // push's release CAS on `head`, paired with the popper's acquire,
+        // orders this decrement before that thread's increment.
+        self.in_use.fetch_sub(1, Ordering::Relaxed);
         loop {
             let head = self.head.load(Ordering::Acquire);
             self.next[page as usize].store(head as u32, Ordering::Relaxed);
@@ -186,7 +192,6 @@ impl PageArena {
                 .compare_exchange_weak(head, new_head, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                self.in_use.fetch_sub(1, Ordering::Relaxed);
                 if let Some(budget) = &self.budget {
                     budget.release(1);
                 }

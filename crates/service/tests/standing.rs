@@ -4,10 +4,10 @@
 //! and the version machinery (snapshot resume fencing, plan-cache
 //! discrimination, compaction) must hold around them.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use tdfs_core::{find_matches, reference_count, MatcherConfig};
+use tdfs_core::{find_matches, reference_count, MatchSink, MatcherConfig};
 use tdfs_graph::generators::barabasi_albert;
 use tdfs_graph::rng::Rng;
 use tdfs_graph::{DeltaCsr, EdgeBatch, GraphView};
@@ -304,6 +304,32 @@ fn standing_lifecycle_and_rejections() {
     assert_eq!(*seen.lock().unwrap(), 1);
 }
 
+/// A sink that signals when the engine first emits, then blocks until
+/// released — pins a worker deterministically.
+struct BlockingSink {
+    entered: Arc<(Mutex<bool>, Condvar)>,
+    release: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl MatchSink for BlockingSink {
+    fn emit(&self, _m: &[u32]) {
+        raise_flag(&self.entered);
+        wait_flag(&self.release);
+    }
+}
+
+fn wait_flag((m, c): &(Mutex<bool>, Condvar)) {
+    let mut g = m.lock().unwrap();
+    while !*g {
+        g = c.wait(g).unwrap();
+    }
+}
+
+fn raise_flag((m, c): &(Mutex<bool>, Condvar)) {
+    *m.lock().unwrap() = true;
+    c.notify_all();
+}
+
 /// Maintenance runs as Low-priority durable work but the delta stays
 /// exact even when the service is too busy to take it — the dispatch
 /// falls back inline after bounded retries.
@@ -326,11 +352,20 @@ fn maintenance_falls_back_inline_when_the_queue_is_saturated() {
     })
     .unwrap();
 
-    // Saturate: a long query occupies the single worker while a second
-    // fills the one queue slot, so maintenance dispatch gets QueueFull.
-    let big = PatternId(8).pattern();
-    let q1 = svc.submit(QueryRequest::new("g", big.clone())).unwrap();
-    let q2 = svc.submit(QueryRequest::new("g", big.clone())).unwrap();
+    // Saturate: a query pinned inside its sink occupies the single worker
+    // while a second fills the one queue slot, so maintenance dispatch
+    // gets QueueFull for as long as the pin holds.
+    let entered = Arc::new((Mutex::new(false), Condvar::new()));
+    let release = Arc::new((Mutex::new(false), Condvar::new()));
+    let blocker = Arc::new(BlockingSink {
+        entered: entered.clone(),
+        release: release.clone(),
+    });
+    let q1 = svc
+        .submit(QueryRequest::new("g", pattern.clone()).with_sink(blocker))
+        .unwrap();
+    wait_flag(&entered);
+    let q2 = svc.submit(QueryRequest::new("g", pattern.clone())).unwrap();
 
     let pre = svc.catalog().get("g").unwrap();
     let pre_count = reference_count(&*pre, &plan) as i64;
@@ -345,7 +380,9 @@ fn maintenance_falls_back_inline_when_the_queue_is_saturated() {
     let d = deltas.last().expect("delta delivered despite saturation");
     assert_eq!(post_count - pre_count, d.added as i64 - d.removed as i64);
     drop(deltas);
+    assert!(svc.metrics().maintenance_inline_fallbacks >= 1);
 
+    raise_flag(&release);
     assert!(q1.wait().result.is_ok());
     assert!(q2.wait().result.is_ok());
     svc.shutdown();
