@@ -24,6 +24,12 @@ cargo build --workspace --benches
 echo "==> cargo test --workspace -q"
 timeout "$TEST_TIMEOUT" cargo test --workspace -q
 
+echo "==> one-core pass (core + service at one warp)"
+# On one CPU `default_warps()` is 1, so every test that does not pin its
+# warps runs the single-worker, single-shard path a multi-core host
+# never takes: durable queries with one shard worker per query.
+taskset -c 0 timeout "$TEST_TIMEOUT" cargo test -p tdfs-core -p tdfs-service -q
+
 echo "==> chaos tests (fault injection + deterministic concurrency kit)"
 # The chaos feature swaps the fault-point macros from compile-time no-ops
 # to the scripted testkit registry; tier-1 tests above run without it, so
@@ -37,6 +43,13 @@ echo "==> recovery job (durable execution: leases, fencing, resume)"
 # a snapshot/cancel/resume cut on every engine, and the wedge path.
 timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --test durable -q
 timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --features chaos --test chaos_durable -q
+# A motif_mix run: every shard worker runs its query's shards on one
+# resident device. The benchmark's oracle checks every count against
+# reference_count, and it exits non-zero on any reclaimed lease or any
+# spilled or leaked arena page, which a device reused across shards
+# would be the one to break.
+timeout "$TEST_TIMEOUT" cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload motif_mix --seed 1 --seconds 20 --trace 0 >/dev/null
 # Lease-overhead guard (BENCH_lease.json, asserts <5% geomean): timing
 # is machine-sensitive, so it is opt-in like the TSAN pass.
 if [[ "${TDFS_BENCH_GUARD:-0}" == "1" ]]; then

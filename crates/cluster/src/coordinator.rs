@@ -282,7 +282,9 @@ impl ClusterQueryHandle {
             }
             self.query
                 .ledger
-                .wait_change((deadline - now).min(Duration::from_millis(50)));
+                .wait_change((deadline - now).min(Duration::from_millis(50)), |_| {
+                    self.query.done.load(Ordering::Acquire)
+                });
         }
     }
 }

@@ -24,7 +24,7 @@ use tdfs_gpu::queue::{Task, PAD};
 use tdfs_gpu::Clock;
 use tdfs_graph::GraphView;
 use tdfs_mem::{ArrayLevel, LevelStore, PagedLevel, StackError};
-use tdfs_query::plan::QueryPlan;
+use tdfs_query::plan::{LevelPlan, QueryPlan};
 
 use crate::candidates::{
     accept, fill_level, fuse_leaf_level, separate_injectivity_pass, Workspace,
@@ -224,18 +224,47 @@ fn vertex_admitted<V: GraphView>(g: &V, plan: &QueryPlan, level: usize, v: u32) 
 
 /// Host-side single-threaded edge filtering (STMatch's preprocessing
 /// step, "it can become a bottleneck on big graphs", §IV-B): the
-/// admitted arcs in row-major order. A row whose source fails level 0 is
-/// skipped whole.
+/// admitted arcs in row-major order, the same list [`edge_admitted`]
+/// gives arc by arc.
+///
+/// One pass over the vertices settles the plan's level-0 and level-1
+/// degree and label tests, so the arc loop reads one byte per endpoint.
+/// A row whose source fails level 0 is skipped whole, and the
+/// position-0/1 symmetry constraint, when there is one, cuts each sorted
+/// row at `v1` (rows hold no self-loops, so the cut also drops
+/// `v2 == v1`).
 pub fn host_filter_edges<V: GraphView>(g: &V, plan: &QueryPlan) -> Vec<(u32, u32)> {
+    const LEVEL0: u8 = 1;
+    const LEVEL1: u8 = 2;
+    let (l0, l1) = (&plan.levels[0], &plan.levels[1]);
+    let admits: Vec<u8> = (0..g.num_vertices() as u32)
+        .map(|v| {
+            let (degree, label) = (g.degree(v), g.label(v));
+            let admits_at = |l: &LevelPlan| u8::from(degree >= l.degree && label == l.label);
+            (admits_at(l0) * LEVEL0) | (admits_at(l1) * LEVEL1)
+        })
+        .collect();
+    let (above, below) = (!l1.greater_than.is_empty(), !l1.less_than.is_empty());
     let mut edges = Vec::new();
-    for v1 in 0..g.num_vertices() as u32 {
-        if !vertex_admitted(g, plan, 0, v1) {
+    for (v1, &admit) in (0u32..).zip(&admits) {
+        if admit & LEVEL0 == 0 {
             continue;
         }
+        let row = g.neighbors(v1);
+        let lo = if above {
+            row.partition_point(|&v2| v2 <= v1)
+        } else {
+            0
+        };
+        let hi = if below {
+            row.partition_point(|&v2| v2 < v1)
+        } else {
+            row.len()
+        };
         edges.extend(
-            g.neighbors(v1)
+            row[lo..hi.max(lo)]
                 .iter()
-                .filter(|&&v2| pair_admitted(plan, v1, v2) && vertex_admitted(g, plan, 1, v2))
+                .filter(|&&v2| admits[v2 as usize] & LEVEL1 != 0)
                 .map(|&v2| (v1, v2)),
         );
     }
@@ -274,23 +303,47 @@ pub fn run_on_device_with_sink<V: GraphView>(
     } else {
         InitialSource::Arcs
     };
-    run_on_device_from(g, plan, cfg, device, clock, sink, source, host_preprocess)
+    let factory = StackFactory::for_config(cfg, g.max_degree());
+    run_on_device_from(
+        g,
+        plan,
+        cfg,
+        device,
+        &factory,
+        clock,
+        sink,
+        source,
+        host_preprocess,
+    )
 }
 
 /// Runs the warp engine over an explicit initial-task source (used by
-/// the hybrid BFS→DFS engine to hand over its switch-over frontier).
+/// the hybrid BFS→DFS engine to hand over its switch-over frontier, and
+/// by durable shard workers, which run every shard they lease on one
+/// resident device and stack arena).
+///
+/// The run starts by rewinding `device` and restarting the arena's peak,
+/// so a device reused after a clean run reports exactly what a fresh one
+/// would. `factory` must be resolved for a maximum degree of at least
+/// `g.max_degree()`, which sizes array stacks.
 #[allow(clippy::too_many_arguments)]
 pub fn run_on_device_from<V: GraphView>(
     g: &V,
     plan: &QueryPlan,
     cfg: &MatcherConfig,
     device: &Device,
+    factory: &StackFactory,
     clock: Clock,
     sink: Option<&dyn MatchSink>,
     source: InitialSource,
     host_preprocess: std::time::Duration,
 ) -> Result<RunResult, EngineError> {
     let start = Instant::now();
+    device.reset();
+    if let Some(arena) = factory.arena() {
+        debug_assert_eq!(arena.pages_in_use(), 0, "arena pages held across runs");
+        arena.restart_peak();
+    }
     let (tau_ns, fanout_threshold) = match cfg.strategy {
         Strategy::Timeout { tau } => (tau.map(|t| t.as_nanos() as u64), None),
         Strategy::NewKernel { fanout_threshold } => (None, Some(fanout_threshold)),
@@ -323,8 +376,6 @@ pub fn run_on_device_from<V: GraphView>(
         active_children: AtomicUsize::new(0),
     };
 
-    let factory =
-        StackFactory::resolve_budgeted(&cfg.stack, g.max_degree(), cfg.memory_budget.clone());
     let k = plan.k();
 
     let mut stats = RunStats {
@@ -338,14 +389,14 @@ pub fn run_on_device_from<V: GraphView>(
         // warps. This keeps fine-grained callers (the durable layer
         // runs one engine warp per shard) free of a per-run spawn.
         if cfg.num_warps == 1 {
-            let out = match &factory {
+            let out = match factory {
                 StackFactory::Array { .. } => {
-                    let stack = WarpStack::<ArrayLevel>::new_array(&factory, k);
-                    warp_main(&shared, &factory, stack, scope)
+                    let stack = WarpStack::<ArrayLevel>::new_array(factory, k);
+                    warp_main(&shared, factory, stack, scope)
                 }
                 StackFactory::Paged { .. } => {
-                    let stack = WarpStack::<PagedLevel>::new_paged(&factory, k);
-                    warp_main(&shared, &factory, stack, scope)
+                    let stack = WarpStack::<PagedLevel>::new_paged(factory, k);
+                    warp_main(&shared, factory, stack, scope)
                 }
             };
             return vec![out];
@@ -353,7 +404,6 @@ pub fn run_on_device_from<V: GraphView>(
         let mut handles = Vec::with_capacity(cfg.num_warps);
         for _ in 0..cfg.num_warps {
             let shared = &shared;
-            let factory = &factory;
             handles.push(scope.spawn(move || {
                 let _guard = PanicGuard(&shared.error);
                 match factory {
@@ -409,7 +459,7 @@ pub fn run_on_device_from<V: GraphView>(
     stats.timeouts_fired = shared.timeouts.load(Ordering::Relaxed);
     stats.kernels_launched = shared.kernels.load(Ordering::Relaxed);
     stats.queue_stall_yields = device.queue.total_stall_yields();
-    stats.stack_bytes_peak = match &factory {
+    stats.stack_bytes_peak = match factory {
         StackFactory::Array { capacity, .. } => cfg.num_warps * k * capacity * 4,
         StackFactory::Paged {
             arena, table_len, ..

@@ -25,6 +25,7 @@ use crate::candidates::Workspace;
 use crate::config::MatcherConfig;
 use crate::engine::{edge_admitted, run_on_device_from, EngineError, InitialSource};
 use crate::sink::MatchSink;
+use crate::stack::StackFactory;
 use crate::stats::RunResult;
 
 /// Runs the hybrid engine: BFS while the next level fits in
@@ -163,6 +164,7 @@ fn run_inner<V: GraphView>(
         plan,
         &dfs_cfg,
         &device,
+        &StackFactory::for_config(&dfs_cfg, g.max_degree()),
         Clock::real(),
         sink,
         InitialSource::Partials {

@@ -81,6 +81,7 @@ pub use storage::{budgeted_map_options, open_budgeted, BudgetCharge};
 // `tdfs-mem` directly.
 pub use tdfs_mem::{MemoryBudget, OverflowPolicy};
 
+use stack::StackFactory;
 use tdfs_gpu::device::Device;
 use tdfs_gpu::Clock;
 use tdfs_graph::GraphView;
@@ -152,6 +153,7 @@ pub fn match_plan_on_edges<V: GraphView>(
                 plan,
                 cfg,
                 &device,
+                &StackFactory::for_config(cfg, g.max_degree()),
                 Clock::real(),
                 sink,
                 engine::InitialSource::Edges(edges),

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use tdfs_mem::{ArrayLevel, LevelStore, MemoryBudget, OverflowPolicy, PageArena, PagedLevel};
 
-use crate::config::{ArrayCapacity, StackConfig};
+use crate::config::{ArrayCapacity, MatcherConfig, StackConfig};
 
 /// Runtime factory for stack levels, resolved from [`StackConfig`]
 /// against a concrete data graph (array capacity may be `d_max`).
@@ -37,6 +37,13 @@ impl StackFactory {
     /// `d_max`, allocating the shared arena for paged stacks.
     pub fn resolve(cfg: &StackConfig, d_max: usize) -> Self {
         Self::resolve_budgeted(cfg, d_max, None)
+    }
+
+    /// The factory a run under `cfg` uses on a graph of maximum degree
+    /// `d_max`: `cfg`'s stack layout, with its memory budget scope
+    /// charged for every arena page.
+    pub fn for_config(cfg: &MatcherConfig, d_max: usize) -> Self {
+        Self::resolve_budgeted(&cfg.stack, d_max, cfg.memory_budget.clone())
     }
 
     /// Like [`resolve`](Self::resolve), but a paged arena additionally

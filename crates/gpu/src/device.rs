@@ -90,10 +90,13 @@ impl Device {
         local * self.group_size + self.id
     }
 
-    /// Resets the initial-task cursor (for running several queries on the
-    /// same device).
+    /// Rewinds the initial-task cursor and restarts the queue's counters
+    /// and peak, so the next run on this device reports what a fresh
+    /// device would. The queue must be empty, as every run that ends
+    /// cleanly leaves it.
     pub fn reset(&self) {
         self.cursor.store(0, Ordering::Relaxed);
+        self.queue.restart_counters();
     }
 }
 
@@ -205,7 +208,15 @@ mod tests {
         let d = Device::new(1);
         assert!(d.next_chunk(4).is_some());
         while d.next_chunk(4).is_some() {}
+        assert!(d.queue.enqueue(crate::queue::Task::pair(1, 2)));
+        assert!(d.queue.dequeue().is_some());
         d.reset();
         assert_eq!(d.next_chunk(4), Some(0..4));
+        assert_eq!(d.queue.total_enqueued(), 0);
+        assert_eq!(d.queue.total_dequeued(), 0);
+        assert_eq!(d.queue.peak_tasks(), 0);
+        // The ring keeps working across the restart.
+        assert!(d.queue.enqueue(crate::queue::Task::pair(3, 4)));
+        assert_eq!(d.queue.dequeue(), Some(crate::queue::Task::pair(3, 4)));
     }
 }

@@ -155,6 +155,16 @@ pub struct LeaseCheckpoint<T> {
     pub next_id: u64,
 }
 
+/// The table's work as a [`LeaseTable::wait_change`] exit condition
+/// sees it, read under the table lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Backlog {
+    /// Unclaimed tasks.
+    pub pending: usize,
+    /// Live leases.
+    pub outstanding: usize,
+}
+
 /// The outstanding-lease table (see module docs).
 pub struct LeaseTable<T> {
     inner: Mutex<TableInner<T>>,
@@ -491,10 +501,22 @@ impl<T: Clone> LeaseTable<T> {
         self.lock().stats
     }
 
-    /// Blocks until the table changes (grant/ack/requeue/submit) or
-    /// `timeout` elapses — the idle-worker parking primitive.
-    pub fn wait_change(&self, timeout: Duration) {
+    /// Blocks until the table changes (grant/ack/requeue/submit/poke) or
+    /// `timeout` elapses — the idle-worker parking primitive — unless
+    /// `ready` already holds. `ready` is the waiter's exit condition,
+    /// checked under the table lock before parking: a change, or a
+    /// [`poke`](Self::poke) that follows an out-of-band condition
+    /// flipping, cannot slip in between the waiter's last look and its
+    /// park, so no wakeup is lost.
+    pub fn wait_change(&self, timeout: Duration, ready: impl FnOnce(Backlog) -> bool) {
         let inner = self.lock();
+        let backlog = Backlog {
+            pending: inner.pending.len(),
+            outstanding: inner.outstanding.len(),
+        };
+        if ready(backlog) {
+            return;
+        }
         let _ = self
             .changed
             .wait_timeout(inner, timeout)
@@ -882,12 +904,45 @@ mod tests {
                 let deadline = Instant::now() + Duration::from_secs(5);
                 while t.pending_len() == 0 {
                     assert!(Instant::now() < deadline, "missed wakeup");
-                    t.wait_change(Duration::from_millis(50));
+                    t.wait_change(Duration::from_millis(50), |_| false);
                 }
             })
         };
         std::thread::sleep(Duration::from_millis(10));
         t.submit(1u32);
         waiter.join().unwrap();
+    }
+
+    #[test]
+    fn wait_change_returns_at_once_when_the_exit_condition_holds() {
+        let t = LeaseTable::new(Duration::from_secs(60));
+        t.submit(7u32);
+        let _lease = t.lease(0).unwrap();
+        t.submit(8u32);
+        // Nothing will change the table: without the check the wait
+        // would sleep out its whole minute.
+        let started = Instant::now();
+        let mut seen = None;
+        t.wait_change(Duration::from_secs(60), |b| {
+            seen = Some(b);
+            true
+        });
+        assert!(started.elapsed() < Duration::from_secs(5));
+        assert_eq!(
+            seen,
+            Some(Backlog {
+                pending: 1,
+                outstanding: 1
+            })
+        );
+        // An out-of-band condition works the same way.
+        let done = std::sync::atomic::AtomicBool::new(true);
+        let started = Instant::now();
+        t.wait_change(Duration::from_secs(60), |_| done.load(Ordering::Acquire));
+        assert!(started.elapsed() < Duration::from_secs(5));
+        // A false condition still parks until the timeout.
+        let started = Instant::now();
+        t.wait_change(Duration::from_millis(20), |_| false);
+        assert!(started.elapsed() >= Duration::from_millis(20));
     }
 }

@@ -25,6 +25,13 @@
 //! while preserving the paper's size-based admission, head/tail
 //! counters, and rejection semantics.
 //!
+//! A second deviation: an enqueue admits itself with a compare-and-swap
+//! that raises `size` only below the bound, instead of the paper's add
+//! followed, on a full queue, by the inverse add. Between those two adds
+//! `size` counts a task that will never exist, and a dequeue admitted in
+//! that window waits on a ticket no enqueue may ever claim. Once the warps
+//! run out of work that dequeue spins forever, and its warp with it.
+//!
 //! There are no locks; contention is limited to the queue's own counters
 //! exactly as argued in §III ("we only utilize atomic operations … for
 //! lightweight contentions on the head and tail").
@@ -155,21 +162,24 @@ impl EnqueueOp<'_> {
                 // queue, driving callers down their rejection path.
                 let forced_full = chaos_inject!("gpu.queue.enqueue.full");
                 let n = q.admit_limit;
-                // Line 4: register space usage.
-                let old = if forced_full {
-                    n
+                // Line 4: register space usage, but only while there is
+                // space (see the module docs): an add that overshoots and
+                // is cancelled afterwards would, in between, admit a
+                // dequeue for a task that never arrives.
+                let admitted = if forced_full {
+                    Err(n)
                 } else {
-                    q.size.fetch_add(3, Ordering::AcqRel)
+                    q.size
+                        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |old| {
+                            (old < n).then_some(old + 3)
+                        })
                 };
-                if old >= n {
-                    // Lines 5–6: cancel, signal full.
-                    if !forced_full {
-                        q.size.fetch_sub(3, Ordering::AcqRel);
-                    }
+                let Ok(old) = admitted else {
+                    // Lines 5–6: signal full.
                     q.rejected_full.fetch_add(1, Ordering::Relaxed);
                     self.state = EnqState::Finished { admitted: false };
                     return OpStep::Done(false);
-                }
+                };
                 q.peak_size.fetch_max(old + 3, Ordering::Relaxed);
                 self.state = EnqState::Claim;
                 OpStep::Progress
@@ -484,6 +494,22 @@ impl TaskQueue {
     /// livelocked.
     pub fn total_stall_yields(&self) -> u64 {
         self.stall_yields.load(Ordering::Relaxed)
+    }
+
+    /// Restarts the operation counters and the peak, so a device that
+    /// runs several queries reports each one's figures alone. The ring
+    /// itself needs no reset: an empty queue's tickets carry over.
+    pub(crate) fn restart_counters(&self) {
+        debug_assert!(self.is_empty(), "restarting the counters of a busy queue");
+        for c in [
+            &self.enqueued,
+            &self.dequeued,
+            &self.rejected_full,
+            &self.stall_yields,
+        ] {
+            c.store(0, Ordering::Relaxed);
+        }
+        self.peak_size.store(0, Ordering::Relaxed);
     }
 
     /// High-water mark of concurrently queued tasks — the paper's claim

@@ -30,6 +30,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// actually took. Deliberately *outside* [`crate::warp::WarpStats`] —
 /// the differential oracle compares `WarpStats` for equality across
 /// paths, so the path marker itself cannot live there.
+///
+/// Each warp counts its own dispatches and adds them here when it is
+/// dropped or re-pinned ([`crate::warp::WarpOps::set_simd`]), so the
+/// intersection path never writes memory other warps share, and the
+/// totals lag warps that are still running.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchCounts {
     /// Intersections executed by the AVX2 lane kernels.
@@ -41,18 +46,19 @@ pub struct DispatchCounts {
 static SIMD_INTERSECTIONS: AtomicU64 = AtomicU64::new(0);
 static SCALAR_INTERSECTIONS: AtomicU64 = AtomicU64::new(0);
 
-#[inline]
-pub(crate) fn note_dispatch(simd: bool) {
+/// Adds `n` intersections a warp dispatched on one path to the totals.
+pub(crate) fn note_dispatch(simd: bool, n: u64) {
     if simd {
-        SIMD_INTERSECTIONS.fetch_add(1, Ordering::Relaxed);
+        SIMD_INTERSECTIONS.fetch_add(n, Ordering::Relaxed);
     } else {
-        SCALAR_INTERSECTIONS.fetch_add(1, Ordering::Relaxed);
+        SCALAR_INTERSECTIONS.fetch_add(n, Ordering::Relaxed);
     }
 }
 
 /// Lifetime dispatch counters for this process (service metrics /
 /// `examples/serve.rs` print these so operators can see which path
-/// production traffic takes).
+/// production traffic takes). Counts the warps that have exited or been
+/// re-pinned, not those still running.
 pub fn dispatch_counts() -> DispatchCounts {
     DispatchCounts {
         simd: SIMD_INTERSECTIONS.load(Ordering::Relaxed),
@@ -359,9 +365,8 @@ mod tests {
     #[test]
     fn dispatch_counters_accumulate() {
         let before = dispatch_counts();
-        note_dispatch(true);
-        note_dispatch(false);
-        note_dispatch(false);
+        note_dispatch(true, 1);
+        note_dispatch(false, 2);
         let after = dispatch_counts();
         assert!(after.simd > before.simd);
         assert!(after.scalar >= before.scalar + 2);

@@ -220,6 +220,10 @@ pub struct WarpOps {
     /// [`crate::simd::available`]; can be pinned off per warp so the
     /// differential suite runs both paths in one process.
     simd: bool,
+    /// Intersections dispatched on the current path and not yet added to
+    /// [`crate::simd::dispatch_counts`]: warp-local, so an intersection
+    /// writes no memory other warps share. Flushed on drop and re-pin.
+    dispatched: u64,
 }
 
 impl Default for WarpOps {
@@ -227,7 +231,14 @@ impl Default for WarpOps {
         Self {
             stats: WarpStats::default(),
             simd: crate::simd::available(),
+            dispatched: 0,
         }
+    }
+}
+
+impl Drop for WarpOps {
+    fn drop(&mut self) {
+        self.flush_dispatch();
     }
 }
 
@@ -369,7 +380,16 @@ impl WarpOps {
     /// Re-pins the kernel path (ANDed with [`crate::simd::available`],
     /// so enabling is a no-op without the feature/hardware).
     pub fn set_simd(&mut self, enabled: bool) {
+        self.flush_dispatch();
         self.simd = enabled && crate::simd::available();
+    }
+
+    /// Adds this warp's dispatches so far to the process-wide totals.
+    fn flush_dispatch(&mut self) {
+        if self.dispatched > 0 {
+            crate::simd::note_dispatch(self.simd, self.dispatched);
+            self.dispatched = 0;
+        }
     }
 
     /// Whether intersections on this warp take the AVX2 path.
@@ -458,7 +478,7 @@ impl WarpOps {
             return;
         }
         self.charge_kernel(kind);
-        crate::simd::note_dispatch(self.simd);
+        self.dispatched += 1;
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if self.simd {
             let mut probe = crate::simd::lanes::SimdProbe::new(kind, b);
@@ -679,6 +699,40 @@ mod tests {
         // Indirections are pointer-sized.
         w.charge_indirections(3);
         assert_eq!(w.stats.bytes_touched, 4 * a.len() as u64 + 24);
+    }
+
+    #[test]
+    fn dispatches_reach_the_totals_when_the_warp_exits_or_repins() {
+        // Other tests drop warps concurrently, so only a lower bound on
+        // the rise holds.
+        const N: u64 = 50;
+        let on_path = |c: crate::simd::DispatchCounts, simd: bool| {
+            if simd {
+                c.simd
+            } else {
+                c.scalar
+            }
+        };
+        for simd in [false, true] {
+            let before = crate::simd::dispatch_counts();
+            let mut w = WarpOps::with_simd(simd);
+            let path = w.simd_active();
+            for x in 0..N as u32 {
+                w.intersect(&[x], &[x], |_| {});
+            }
+            drop(w);
+            let after = crate::simd::dispatch_counts();
+            assert!(on_path(after, path) >= on_path(before, path) + N, "{simd}");
+        }
+        let before = crate::simd::dispatch_counts();
+        let mut w = WarpOps::new();
+        let path = w.simd_active();
+        for x in 0..N as u32 {
+            w.intersect(&[x], &[x], |_| {});
+        }
+        w.set_simd(!path);
+        let after = crate::simd::dispatch_counts();
+        assert!(on_path(after, path) >= on_path(before, path) + N);
     }
 
     #[test]

@@ -112,6 +112,13 @@ impl PageArena {
         self.peak.load(Ordering::Relaxed) as usize
     }
 
+    /// Restarts the high-water mark at the pages now in use, so an arena
+    /// reused across runs reports each run's peak alone.
+    pub fn restart_peak(&self) {
+        self.peak
+            .store(self.in_use.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+
     /// Peak allocated bytes.
     pub fn peak_bytes(&self) -> usize {
         self.peak_pages() * PAGE_BYTES
@@ -319,6 +326,20 @@ mod tests {
         assert_eq!(a.pages_in_use(), 0);
         assert!(a.peak_pages() <= 64);
         assert_eq!(a.total_allocs(), 8 * 2_000);
+    }
+
+    #[test]
+    fn restart_peak_starts_from_pages_in_use() {
+        let a = PageArena::new(4);
+        let p0 = a.alloc_page().unwrap();
+        let p1 = a.alloc_page().unwrap();
+        a.free_page(p1);
+        assert_eq!(a.peak_pages(), 2);
+        a.restart_peak();
+        assert_eq!(a.peak_pages(), 1);
+        a.free_page(p0);
+        a.restart_peak();
+        assert_eq!(a.peak_pages(), 0);
     }
 
     #[test]

@@ -53,11 +53,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use tdfs_core::engine::{run_on_device_from, InitialSource};
+use tdfs_core::stack::StackFactory;
 use tdfs_core::{
     match_plan_on_edges, CancelFlag, CollectSink, EngineError, MatchSink, MatcherConfig,
-    MemoryBudget, RunResult, RunStats,
+    MemoryBudget, RunResult, RunStats, Strategy,
 };
+use tdfs_gpu::device::Device;
 use tdfs_gpu::lease::{AckOutcome, Lease, LeaseStats, LeaseTable};
+use tdfs_gpu::Clock;
 use tdfs_graph::GraphView;
 use tdfs_query::plan::QueryPlan;
 use tdfs_query::Pattern;
@@ -73,8 +77,11 @@ pub struct DurableConfig {
     /// recovered instead of failing the query, and
     /// [`crate::Service::snapshot`] / [`crate::Service::resume`] work.
     pub enabled: bool,
-    /// Admitted edges per shard task. Smaller shards mean finer
-    /// recovery granularity and more lease traffic.
+    /// Admitted edges per shard task, at most. Smaller shards mean finer
+    /// recovery granularity and more lease traffic. A query with fewer
+    /// than `workers × shard_edges` admitted edges gets smaller shards,
+    /// one or more per worker, but none below four engine chunks (see
+    /// [`shard_target`]).
     pub shard_edges: usize,
     /// Lease duration; a shard not acked within it is considered
     /// stalled and reclaimed. Reclaiming a *live* worker is safe (its
@@ -366,7 +373,13 @@ pub(crate) fn fresh_state<V: GraphView>(
 ) -> Arc<DurableState> {
     let ledger = LeaseTable::new(dcfg.lease_timeout);
     let edge_count = edges.len() as u64;
-    for shard in shard_cuts(graph, edges, dcfg.shard_edges) {
+    let target = shard_target(
+        edges.len(),
+        shard_workers(dcfg, &config),
+        config.chunk_size,
+        dcfg.shard_edges,
+    );
+    for shard in shard_cuts(graph, edges, target) {
         ledger.submit(shard);
     }
     Arc::new(state_with(
@@ -383,6 +396,25 @@ pub(crate) fn fresh_state<V: GraphView>(
         0,
         scope,
     ))
+}
+
+/// Shard workers a durable query runs: [`DurableConfig::workers`], or
+/// the query's warp count when that is 0.
+fn shard_workers(dcfg: &DurableConfig, config: &MatcherConfig) -> usize {
+    match dcfg.workers {
+        0 => config.num_warps,
+        n => n,
+    }
+    .max(1)
+}
+
+/// Admitted edges per shard for a query of `n` admitted edges run by
+/// `workers` shard workers: `shard_edges`, lowered so that every worker
+/// gets a shard, but never below four engine chunks of `chunk_size`
+/// edges, so a query of a few seeds stays one shard instead of paying a
+/// second lease and device for a handful of walks.
+fn shard_target(n: usize, workers: usize, chunk_size: usize, shard_edges: usize) -> usize {
+    shard_edges.min(n.div_ceil(workers).max(4 * chunk_size))
 }
 
 /// Cuts an admitted edge list into degree-weighted [`Shard`]s of
@@ -507,17 +539,26 @@ pub(crate) fn execute<V: GraphView>(
     dcfg: &DurableConfig,
     start: Instant,
 ) -> Result<RunResult, EngineError> {
-    let workers = if dcfg.workers == 0 {
-        job.config.num_warps
-    } else {
-        dcfg.workers
-    }
-    .max(1);
+    let workers = shard_workers(dcfg, job.config);
     // The query's warp budget is split across the shard workers (auto:
     // one single-warp engine run per worker, so total parallelism
     // matches the non-durable run); configuring fewer workers gives
     // each shard a multi-warp run with the engine balancing inside it.
     let shard_warps = (job.config.num_warps / workers).max(1);
+    // A worker's resident task queue is sized for the query's full
+    // shard: a shard seeds at most that many walks, so the full-query
+    // queue is outsized for it, and queue-full still degrades to
+    // in-place processing.
+    let full_shard = shard_target(
+        job.edges.len(),
+        workers,
+        job.config.chunk_size,
+        dcfg.shard_edges,
+    );
+    let resident = Resident {
+        warps: shard_warps,
+        queue: job.config.queue_capacity.min(shard_queue(full_shard)),
+    };
     let live = AtomicUsize::new(workers);
 
     std::thread::scope(|scope| {
@@ -537,7 +578,7 @@ pub(crate) fn execute<V: GraphView>(
                     }
                 }
                 let _live = LiveGuard(live, &state);
-                shard_worker(&state, job, wid as u32, shard_warps);
+                shard_worker(&state, job, wid as u32, resident);
             });
         }
         watchdog(state, job, dcfg, &live);
@@ -563,12 +604,52 @@ pub(crate) fn execute<V: GraphView>(
     })
 }
 
+/// The task-queue capacity the durable layer gives a shard of `edges`
+/// admitted edges.
+fn shard_queue(edges: usize) -> usize {
+    (edges * 4).max(1024)
+}
+
+/// The shape of a shard worker's resident device, fixed per query.
+#[derive(Clone, Copy)]
+struct Resident {
+    /// Engine warps per shard run.
+    warps: usize,
+    /// Task-queue capacity, sized for the query's full shard.
+    queue: usize,
+}
+
+/// A shard worker's resident device: `Q_task` with its chunk cursor,
+/// and the stack arena, built once and reused by every T-DFS shard the
+/// worker runs, as the paper's warps reuse the memory allocated for
+/// them up front. Each run rewinds the cursor and restarts the queue
+/// counters and arena peak (`run_on_device_from`), so its stats are
+/// those of a fresh device.
+struct ShardDevice {
+    device: Device,
+    stacks: StackFactory,
+}
+
+impl ShardDevice {
+    fn new<V: GraphView>(job: &DurableJob<'_, V>, resident: Resident) -> Self {
+        let cfg = job.config;
+        Self {
+            device: Device::in_group(0, 1, resident.warps, cfg.chunk_size, resident.queue),
+            stacks: StackFactory::for_config(cfg, job.graph.max_degree()),
+        }
+    }
+}
+
 fn shard_worker<V: GraphView>(
     state: &Arc<DurableState>,
     job: &DurableJob<'_, V>,
     wid: u32,
-    shard_warps: usize,
+    resident: Resident,
 ) {
+    // Built at the first T-DFS lease. Dropped after a shard whose run did
+    // not end cleanly, which can leave tasks in its queue, and while
+    // parked.
+    let mut device: Option<ShardDevice> = None;
     loop {
         if state.failed() || job.cancel.is_cancelled() {
             return;
@@ -579,11 +660,15 @@ fn shard_worker<V: GraphView>(
                 return;
             }
         }
-        // Suspended by the overload governor: park without leasing so
-        // the paused query holds no arena pages, but keep honoring
-        // cancel / deadline / failure above. Resume pokes the condvar.
+        // Suspended by the overload governor: park without leasing, and
+        // without a device, so the paused query holds no arena, but keep
+        // honoring cancel / deadline / failure above. Resume pokes the
+        // condvar.
         if state.suspended.load(Ordering::Acquire) {
-            state.ledger.wait_change(Duration::from_millis(1));
+            device = None;
+            state.ledger.wait_change(Duration::from_millis(1), |_| {
+                !state.suspended.load(Ordering::Acquire)
+            });
             continue;
         }
         // Cache-conscious grant: shards whose first root edge's source
@@ -602,19 +687,32 @@ fn shard_worker<V: GraphView>(
             if state.ledger.drained() {
                 return;
             }
-            state.ledger.wait_change(Duration::from_millis(1));
+            // Wake for a requeued shard or the last ack.
+            state.ledger.wait_change(Duration::from_millis(1), |b| {
+                b.pending > 0 || b.outstanding == 0
+            });
             continue;
         };
-        run_shard(state, job, &lease, shard_warps);
+        if matches!(job.config.strategy, Strategy::Timeout { .. }) && device.is_none() {
+            device = Some(ShardDevice::new(job, resident));
+        }
+        if !run_shard(state, job, &lease, resident.warps, device.as_ref()) {
+            device = None;
+        }
     }
 }
 
+/// Runs one leased shard, on `device` when given and on a fresh device
+/// otherwise, and publishes or requeues it. Returns whether the engine
+/// run ended cleanly (no panic, error or cancel), so its device is
+/// reusable.
 fn run_shard<V: GraphView>(
     state: &Arc<DurableState>,
     job: &DurableJob<'_, V>,
     lease: &Lease<Shard>,
     shard_warps: usize,
-) {
+    device: Option<&ShardDevice>,
+) -> bool {
     // Private cancel token: raised by the watchdog on reclaim (zombie
     // revocation) or when the query-level token / a fatal error fires.
     let flag = CancelFlag::new();
@@ -631,8 +729,9 @@ fn run_shard<V: GraphView>(
     // A shard seeds at most `shard.len()` walks, so the full-query task
     // queue is outsized for it; a smaller ring keeps per-shard setup
     // cheap, and queue-full still degrades to in-place processing.
-    let shard_queue = (lease.task.len() as usize * 4).max(1024);
-    cfg.queue_capacity = cfg.queue_capacity.min(shard_queue);
+    cfg.queue_capacity = cfg
+        .queue_capacity
+        .min(shard_queue(lease.task.len() as usize));
     let shard = lease.task;
     let edges = job.edges[shard.start as usize..shard.end as usize].to_vec();
     let buffer = (job.collector.is_some() || job.client.is_some()).then(|| ShardBuffer {
@@ -645,7 +744,20 @@ fn run_shard<V: GraphView>(
     // straggler) without unwinding the shard-worker thread itself.
     let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
         crate::chaos_point!("service.worker.run");
-        match_plan_on_edges(job.graph, job.plan, &cfg, edges, sink_opt)
+        match device {
+            Some(d) => run_on_device_from(
+                job.graph,
+                job.plan,
+                &cfg,
+                &d.device,
+                &d.stacks,
+                Clock::real(),
+                sink_opt,
+                InitialSource::Edges(edges),
+                Duration::ZERO,
+            ),
+            None => match_plan_on_edges(job.graph, job.plan, &cfg, edges, sink_opt),
+        }
     }));
 
     state
@@ -654,6 +766,7 @@ fn run_shard<V: GraphView>(
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .remove(&lease.task_id);
 
+    let clean = matches!(&run, Ok(Ok(r)) if !r.stats.cancelled);
     match run {
         Err(_panic) => {
             // Dead worker (the thread survived, the shard attempt did
@@ -672,7 +785,7 @@ fn run_shard<V: GraphView>(
                 // Query-level cancel or zombie revocation interrupted
                 // the shard: its partial count must never publish.
                 state.ledger.release(lease);
-                return;
+                return clean;
             }
             // The zombie window between completing the work and
             // publishing it — where a stalled worker races its reaper.
@@ -690,7 +803,7 @@ fn run_shard<V: GraphView>(
                 }));
                 if flushed.is_err() {
                     state.ledger.fail(lease, |s| s.split());
-                    return;
+                    return clean;
                 }
             }
             let publish = state
@@ -711,6 +824,7 @@ fn run_shard<V: GraphView>(
             // this shard publishes instead.
         }
     }
+    clean
 }
 
 fn flush_emissions<V: GraphView>(
@@ -759,7 +873,11 @@ fn watchdog<V: GraphView>(
     // workers and watchdog share cores).
     let tick = dcfg.watchdog_interval.min(Duration::from_millis(50));
     while live.load(Ordering::Acquire) > 0 {
-        state.ledger.wait_change(tick);
+        // The last worker's exit is checked under the ledger lock, so its
+        // poke cannot land between this loop's check and the park.
+        state
+            .ledger
+            .wait_change(tick, |_| live.load(Ordering::Acquire) == 0);
         if job.cancel.is_cancelled() || state.failed() {
             state.revoke_all();
             continue;
@@ -782,6 +900,46 @@ fn watchdog<V: GraphView>(
             ));
             state.record_error(EngineError::Wedged);
             state.revoke_all();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// At 2 workers a fresh query's shards follow the cap rule:
+    /// `shard_edges` (512), lowered so both workers get a shard, but
+    /// never below four 8-edge chunks.
+    #[test]
+    fn fresh_state_gives_each_worker_a_shard_down_to_four_chunks() {
+        // A ring: every vertex has degree 2, so the degree-weighted cuts
+        // fall at even edge counts.
+        let n = 5000u32;
+        let mut b = tdfs_graph::GraphBuilder::new();
+        for v in 0..n {
+            b.push_edge(v, (v + 1) % n);
+        }
+        let g = b.build();
+        let ring: Vec<(u32, u32)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+        let dcfg = DurableConfig {
+            workers: 2,
+            ..DurableConfig::default()
+        };
+        let config = MatcherConfig::tdfs();
+        for (edges, shards) in [(8, 1), (32, 1), (33, 2), (80, 2), (5000, 10)] {
+            let state = fresh_state(
+                0,
+                "ring".into(),
+                0,
+                Pattern::clique(3),
+                config.clone(),
+                &g,
+                &ring[..edges],
+                &dcfg,
+                None,
+            );
+            assert_eq!(state.ledger.pending_len(), shards, "{edges} edges");
         }
     }
 }

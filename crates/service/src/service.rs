@@ -611,9 +611,11 @@ pub struct ServiceMetrics {
     /// shard's candidate page (cache-conscious task ordering).
     pub lease_affinity_hits: u64,
     /// Intersections executed on the AVX2 vector lane path, process
-    /// lifetime (from `tdfs_gpu::simd::dispatch_counts`).
+    /// lifetime (from `tdfs_gpu::simd::dispatch_counts`). Each warp adds
+    /// its count when it exits, so warps still running are not in it.
     pub simd_intersections: u64,
-    /// Intersections executed on the scalar lane path, process lifetime.
+    /// Intersections executed on the scalar lane path, process lifetime,
+    /// counted like `simd_intersections`.
     pub scalar_intersections: u64,
     /// Engine counters merged across all completed queries.
     pub engine: RunStats,

@@ -92,6 +92,49 @@ fn killed_worker_mid_query_completes_with_the_exact_count() {
     svc.shutdown();
 }
 
+/// A warp that panics mid-shard, with the straggler storm keeping tasks
+/// in its queue, leaves its worker's device unfit for reuse. The one
+/// shard worker drops that device and builds a new one, so the shards
+/// it runs after the panic still add up to the exact count.
+#[test]
+fn worker_rebuilds_its_device_after_a_mid_shard_warp_panic() {
+    let _chaos = ChaosScript::new()
+        .inject("core.dfs.straggler", Trigger::Always)
+        .on(
+            "gpu.warp.intersect",
+            Trigger::Nth(200),
+            Action::Panic("injected warp panic"),
+        )
+        .install();
+    let g = Arc::new(barabasi_albert(300, 5, 7));
+    let svc = durable_service(DurableConfig {
+        shard_edges: 32,
+        workers: 1,
+        ..DurableConfig::default()
+    });
+    svc.register_graph("ba", g.clone());
+    let pattern = Pattern::clique(4);
+    let cfg = MatcherConfig::tdfs().with_warps(1);
+    let want = reference_count(&g, &QueryPlan::build_with(&pattern, cfg.plan));
+    let h = svc
+        .submit(QueryRequest::new("ba", pattern).with_config(cfg))
+        .unwrap();
+    let id = h.id();
+    let out = h.wait();
+    assert_eq!(
+        out.result
+            .expect("the warp panic must be recovered")
+            .matches,
+        want
+    );
+    assert_eq!(fault::injections("gpu.warp.intersect"), 1);
+    let p = svc.progress(id).expect("retained progress");
+    assert!(p.leases.reclaimed >= 1, "the panicked shard was reclaimed");
+    assert!(p.tasks_acked > 2, "shards ran after the panic");
+    assert_eq!(svc.metrics().worker_panics, 0);
+    svc.shutdown();
+}
+
 /// Epoch fencing: a worker that finishes its shard but stalls past the
 /// lease deadline before acking (the `service.durable.ack` point sleeps
 /// through the wall-clock timeout) is a zombie. The watchdog reclaims

@@ -231,6 +231,56 @@ fn poisonous_client_sink_is_recovered_per_shard() {
     assert_eq!(m.failed, 0);
 }
 
+/// One shard worker runs every shard of a query on its resident device.
+/// A shard whose emissions panic is requeued, and the shards after it,
+/// on the same worker, still add up to the exact count.
+#[test]
+fn shards_after_a_panicked_shard_on_one_worker_count_exactly() {
+    let g = Arc::new(barabasi_albert(200, 4, 45));
+    let svc = Service::new(ServiceConfig {
+        workers: 1,
+        queue_capacity: 16,
+        plan_cache_capacity: 16,
+        durability: DurableConfig {
+            shard_edges: 16,
+            workers: 1,
+            ..DurableConfig::default()
+        },
+        ..ServiceConfig::default()
+    });
+    svc.register_graph("ba", g.clone());
+    for (name, pattern) in patterns() {
+        let config = MatcherConfig::tdfs().with_warps(1);
+        let want = reference_count(&g, &QueryPlan::build_with(&pattern, config.plan));
+        let h = svc
+            .submit(
+                QueryRequest::new("ba", pattern)
+                    .with_config(config)
+                    .with_sink(Arc::new(PanicOnceSink(AtomicBool::new(true)))),
+            )
+            .unwrap();
+        let id = h.id();
+        let out = h.wait();
+        assert_eq!(
+            out.result.expect("panic must be recovered").matches,
+            want,
+            "{name}"
+        );
+        let p = svc.progress(id).expect("retained progress");
+        assert!(
+            p.tasks_acked > 2,
+            "{name}: too few shards to reuse a device"
+        );
+        assert!(
+            p.leases.reclaimed >= 1,
+            "{name}: the panicked shard was reclaimed"
+        );
+    }
+    let m = svc.metrics();
+    assert_eq!(m.worker_panics, 0, "no service worker died");
+    assert_eq!(m.failed, 0);
+}
+
 /// Resume validation: garbage bytes, unknown graphs, and a graph whose
 /// admitted-edge space disagrees with the snapshot are all rejected
 /// before admission.

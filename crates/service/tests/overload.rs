@@ -217,6 +217,14 @@ fn suspend_then_unsuspend_preserves_exact_counts_for_every_engine() {
                 shard_edges: 4,
                 ..DurableConfig::default()
             },
+            // A budget far above this query's needs charges every arena
+            // page without pressure; pressure never falls below zero,
+            // so the governor leaves the resume to the test.
+            governor: GovernorConfig {
+                memory_budget_pages: Some(1 << 20),
+                resume_low_water: -1.0,
+                ..GovernorConfig::default()
+            },
             ..ServiceConfig::default()
         });
         svc.register_graph("ba", g.clone());
@@ -242,7 +250,23 @@ fn suspend_then_unsuspend_preserves_exact_counts_for_every_engine() {
         // artifact with a partial count bounded by the answer.
         let snap = tdfs_service::snapshot::decode(&bytes).expect("suspension checkpoint decodes");
         assert!(snap.matches <= want, "{ename}: checkpoint overcounts");
+        // The suspension the governor applies revokes the in-flight
+        // shards; once they unwind, the parked workers hold no arena
+        // pages.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while svc.metrics().budget_in_use_pages > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "{ename}: parked workers still hold arena pages"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            svc.metrics().budget_in_use_pages,
+            0,
+            "{ename}: a parked worker took arena pages"
+        );
         assert!(
             svc.unsuspend(id) || svc.progress(id).is_some_and(|p| p.done),
             "{ename}: suspended query neither resumable nor finished"
