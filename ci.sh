@@ -24,11 +24,12 @@ cargo build --workspace --benches
 echo "==> cargo test --workspace -q"
 timeout "$TEST_TIMEOUT" cargo test --workspace -q
 
-echo "==> one-core pass (core + service at one warp)"
+echo "==> one-core pass (core + service + cluster at one warp)"
 # On one CPU `default_warps()` is 1, so every test that does not pin its
 # warps runs the single-worker, single-shard path a multi-core host
-# never takes: durable queries with one shard worker per query.
-taskset -c 0 timeout "$TEST_TIMEOUT" cargo test -p tdfs-core -p tdfs-service -q
+# never takes: queries with one shard worker per query. Cluster nodes
+# run their granted shards on the same durable shard workers.
+taskset -c 0 timeout "$TEST_TIMEOUT" cargo test -p tdfs-core -p tdfs-service -p tdfs-cluster -q
 
 echo "==> chaos tests (fault injection + deterministic concurrency kit)"
 # The chaos feature swaps the fault-point macros from compile-time no-ops
@@ -50,13 +51,6 @@ timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --features chaos --test chaos
 # would be the one to break.
 timeout "$TEST_TIMEOUT" cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload motif_mix --seed 1 --seconds 20 --trace 0 >/dev/null
-# Lease-overhead guard (BENCH_lease.json, asserts <5% geomean): timing
-# is machine-sensitive, so it is opt-in like the TSAN pass.
-if [[ "${TDFS_BENCH_GUARD:-0}" == "1" ]]; then
-    cargo bench -p tdfs-bench --bench lease
-else
-    echo "==> lease bench guard: skipped (set TDFS_BENCH_GUARD=1 to run)"
-fi
 
 echo "==> overload job (governor: budget, shedding, brownout)"
 # Focused re-run of the overload suite: the client storm under a tiny

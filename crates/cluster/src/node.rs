@@ -18,15 +18,16 @@
 //! any mismatch, because a shard range over a different edge space
 //! would silently count the wrong edges.
 //!
-//! Each granted shard runs as an ordinary non-durable [`Service`]
-//! submission seeded with that shard's edge slice
-//! ([`QueryRequest::with_seed_edges`]); counts are additive over the
-//! disjoint shards, and the coordinator's epoch fence makes publishing
-//! them exactly-once. Shard runs are *pipelined*: the node keeps up to
-//! `poll_capacity` shards in flight, publishes each ack the moment its
-//! run completes, and polls for more grants with whatever capacity is
-//! free — execution, acking, and polling overlap instead of convoying
-//! batch-by-batch, so skewed shard runtimes never idle the workers.
+//! Each granted shard runs as an ordinary [`Service`] submission seeded
+//! with that shard's edge slice ([`QueryRequest::with_seed_edges`]), on
+//! the service's durable shard workers like any other query; counts are
+//! additive over the disjoint shards, and the coordinator's epoch fence
+//! makes publishing them exactly-once. Shard runs are *pipelined*: the
+//! node keeps up to `poll_capacity` shards in flight, publishes each ack
+//! the moment its run completes, and polls for more grants with
+//! whatever capacity is free — execution, acking, and polling overlap
+//! instead of convoying batch-by-batch, so skewed shard runtimes never
+//! idle the workers.
 //!
 //! ## Chaos points (keyed by `node_id`)
 //!
@@ -456,7 +457,6 @@ fn submit_grants(
         let end = (shard.end as usize).min(q.edges.len());
         let request = QueryRequest::new(q.graph.clone(), q.pattern.clone())
             .with_config(q.config.clone())
-            .with_durable(false)
             .with_seed_edges(q.edges[start..end].to_vec());
         running.push(InFlight {
             query_id,

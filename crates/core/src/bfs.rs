@@ -26,47 +26,18 @@ use crate::sink::MatchSink;
 use crate::stats::{RunResult, RunStats};
 
 /// Runs the BFS engine.
+///
+/// `edges`, when given, seeds the first frontier from an explicit
+/// pre-admitted edge list (a durable shard, or seed edges) instead of
+/// the filtered arc stream. The edges must already satisfy
+/// [`edge_admitted`].
 pub fn run<V: GraphView>(
     g: &V,
     plan: &QueryPlan,
     cfg: &MatcherConfig,
     budget_bytes: usize,
-) -> Result<RunResult, EngineError> {
-    run_with_sink(g, plan, cfg, budget_bytes, None)
-}
-
-/// [`run`] with an optional match sink.
-pub fn run_with_sink<V: GraphView>(
-    g: &V,
-    plan: &QueryPlan,
-    cfg: &MatcherConfig,
-    budget_bytes: usize,
+    edges: Option<&[(u32, u32)]>,
     sink: Option<&dyn MatchSink>,
-) -> Result<RunResult, EngineError> {
-    run_inner(g, plan, cfg, budget_bytes, sink, None)
-}
-
-/// [`run_with_sink`] seeded from an explicit pre-admitted edge list
-/// instead of the full arc stream — the durable layer's shard entry
-/// point. The edges must already satisfy [`edge_admitted`].
-pub fn run_on_edges_with_sink<V: GraphView>(
-    g: &V,
-    plan: &QueryPlan,
-    cfg: &MatcherConfig,
-    budget_bytes: usize,
-    edges: &[(u32, u32)],
-    sink: Option<&dyn MatchSink>,
-) -> Result<RunResult, EngineError> {
-    run_inner(g, plan, cfg, budget_bytes, sink, Some(edges))
-}
-
-fn run_inner<V: GraphView>(
-    g: &V,
-    plan: &QueryPlan,
-    cfg: &MatcherConfig,
-    budget_bytes: usize,
-    sink: Option<&dyn MatchSink>,
-    edges_override: Option<&[(u32, u32)]>,
 ) -> Result<RunResult, EngineError> {
     let start = Instant::now();
     let deadline = cfg.time_limit.map(|l| start + l);
@@ -75,7 +46,7 @@ fn run_inner<V: GraphView>(
 
     // Level 0/1: the filtered edges, stride 2.
     let mut frontier: Vec<u32> = Vec::new();
-    if let Some(edges) = edges_override {
+    if let Some(edges) = edges {
         for &(u, v) in edges {
             frontier.push(u);
             frontier.push(v);

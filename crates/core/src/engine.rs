@@ -44,9 +44,10 @@ pub enum EngineError {
     /// (Fig. 11: "'T' means > 1000 s").
     TimeLimit,
     /// A worker thread executing the query panicked. Raised by the
-    /// service layer's poisoned-worker recovery. Inside an engine run a
-    /// panicking warp's drop guard records it so the other warps stop,
-    /// but the run itself still panics: the panic propagates.
+    /// service layer when a panic escapes shard execution, where no
+    /// lease recovers it. Inside an engine run a panicking warp's drop
+    /// guard records it so the other warps stop, but the run itself
+    /// still panics: the panic propagates.
     WorkerPanicked,
     /// The query made no progress despite repeated lease reclaims — a
     /// task kept being re-granted past the durable layer's epoch limit.
@@ -271,37 +272,33 @@ pub fn host_filter_edges<V: GraphView>(g: &V, plan: &QueryPlan) -> Vec<(u32, u32
     edges
 }
 
-/// Runs the timeout / no-steal / new-kernel strategies on one device.
+/// Runs the timeout / no-steal / new-kernel strategies on one device,
+/// with fresh stacks.
 ///
-/// `HalfSteal` and `Bfs` are dispatched by the crate-root `match_plan`
-/// to their own engines.
+/// `edges`, when given, is an explicit pre-admitted initial-edge list (a
+/// durable shard, or seed edges) that no warp re-filters. Without it,
+/// `cfg.host_edge_filter` chooses between the host-filtered list and
+/// in-warp filtering of the arc stream. `HalfSteal` and `Bfs` have
+/// engines of their own.
 pub fn run_on_device<V: GraphView>(
     g: &V,
     plan: &QueryPlan,
     cfg: &MatcherConfig,
     device: &Device,
     clock: Clock,
-) -> Result<RunResult, EngineError> {
-    run_on_device_with_sink(g, plan, cfg, device, clock, None)
-}
-
-/// [`run_on_device`] with an optional match sink.
-pub fn run_on_device_with_sink<V: GraphView>(
-    g: &V,
-    plan: &QueryPlan,
-    cfg: &MatcherConfig,
-    device: &Device,
-    clock: Clock,
+    edges: Option<Vec<(u32, u32)>>,
     sink: Option<&dyn MatchSink>,
 ) -> Result<RunResult, EngineError> {
     let mut host_preprocess = std::time::Duration::ZERO;
-    let source = if cfg.host_edge_filter {
-        let t = Instant::now();
-        let edges = host_filter_edges(g, plan);
-        host_preprocess = t.elapsed();
-        InitialSource::Edges(edges)
-    } else {
-        InitialSource::Arcs
+    let source = match edges {
+        Some(edges) => InitialSource::Edges(edges),
+        None if cfg.host_edge_filter => {
+            let t = Instant::now();
+            let edges = host_filter_edges(g, plan);
+            host_preprocess = t.elapsed();
+            InitialSource::Edges(edges)
+        }
+        None => InitialSource::Arcs,
     };
     let factory = StackFactory::for_config(cfg, g.max_degree());
     run_on_device_from(

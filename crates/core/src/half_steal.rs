@@ -75,48 +75,19 @@ enum Loot {
 }
 
 /// Runs the half-steal engine on one device.
+///
+/// `edges`, when given, replaces the arc stream with an explicit
+/// pre-admitted edge list (a durable shard, or seed edges): the edges
+/// must already satisfy [`edge_admitted`], and no re-filtering happens.
+/// Without it, `cfg.host_edge_filter` chooses between the host-filtered
+/// list and in-warp filtering of the arc stream.
 pub fn run<V: GraphView>(
     g: &V,
     plan: &QueryPlan,
     cfg: &MatcherConfig,
     device: &Device,
-) -> Result<RunResult, EngineError> {
-    run_with_sink(g, plan, cfg, device, None)
-}
-
-/// [`run`] with an optional match sink.
-pub fn run_with_sink<V: GraphView>(
-    g: &V,
-    plan: &QueryPlan,
-    cfg: &MatcherConfig,
-    device: &Device,
+    edges: Option<Vec<(u32, u32)>>,
     sink: Option<&dyn MatchSink>,
-) -> Result<RunResult, EngineError> {
-    run_inner(g, plan, cfg, device, sink, None)
-}
-
-/// [`run_with_sink`] over an explicit pre-admitted edge list instead of
-/// the full arc stream — the durable layer's shard entry point. The
-/// edges must already satisfy [`edge_admitted`]; no re-filtering
-/// happens (mirrors the `host_edge_filter` path).
-pub fn run_on_edges_with_sink<V: GraphView>(
-    g: &V,
-    plan: &QueryPlan,
-    cfg: &MatcherConfig,
-    device: &Device,
-    edges: Vec<(u32, u32)>,
-    sink: Option<&dyn MatchSink>,
-) -> Result<RunResult, EngineError> {
-    run_inner(g, plan, cfg, device, sink, Some(edges))
-}
-
-fn run_inner<V: GraphView>(
-    g: &V,
-    plan: &QueryPlan,
-    cfg: &MatcherConfig,
-    device: &Device,
-    sink: Option<&dyn MatchSink>,
-    edges_override: Option<Vec<(u32, u32)>>,
 ) -> Result<RunResult, EngineError> {
     let start = Instant::now();
     let k = plan.k();
@@ -134,16 +105,16 @@ fn run_inner<V: GraphView>(
     };
 
     let mut host_preprocess = std::time::Duration::ZERO;
-    let overridden = edges_override.is_some();
-    let host_edges = if let Some(edges) = edges_override {
-        Some(edges)
-    } else if cfg.host_edge_filter {
-        let t = Instant::now();
-        let e = host_filter_edges(g, plan);
-        host_preprocess = t.elapsed();
-        Some(e)
-    } else {
-        None
+    let overridden = edges.is_some();
+    let host_edges = match edges {
+        Some(edges) => Some(edges),
+        None if cfg.host_edge_filter => {
+            let t = Instant::now();
+            let e = host_filter_edges(g, plan);
+            host_preprocess = t.elapsed();
+            Some(e)
+        }
+        None => None,
     };
     let total = host_edges.as_ref().map_or(g.num_arcs(), |e| e.len());
 

@@ -30,37 +30,18 @@ use crate::stats::RunResult;
 
 /// Runs the hybrid engine: BFS while the next level fits in
 /// `budget_bytes`, then DFS over the frontier.
+///
+/// `edges`, when given, seeds the first frontier from an explicit
+/// pre-admitted edge list (a durable shard, or seed edges) instead of
+/// the filtered arc stream. The edges must already satisfy
+/// [`edge_admitted`].
 pub fn run<V: GraphView>(
     g: &V,
     plan: &QueryPlan,
     cfg: &MatcherConfig,
     budget_bytes: usize,
+    edges: Option<&[(u32, u32)]>,
     sink: Option<&dyn MatchSink>,
-) -> Result<RunResult, EngineError> {
-    run_inner(g, plan, cfg, budget_bytes, sink, None)
-}
-
-/// [`run`] seeded from an explicit pre-admitted edge list instead of
-/// the full arc stream — the durable layer's shard entry point. The
-/// edges must already satisfy [`edge_admitted`].
-pub fn run_on_edges<V: GraphView>(
-    g: &V,
-    plan: &QueryPlan,
-    cfg: &MatcherConfig,
-    budget_bytes: usize,
-    edges: &[(u32, u32)],
-    sink: Option<&dyn MatchSink>,
-) -> Result<RunResult, EngineError> {
-    run_inner(g, plan, cfg, budget_bytes, sink, Some(edges))
-}
-
-fn run_inner<V: GraphView>(
-    g: &V,
-    plan: &QueryPlan,
-    cfg: &MatcherConfig,
-    budget_bytes: usize,
-    sink: Option<&dyn MatchSink>,
-    edges_override: Option<&[(u32, u32)]>,
 ) -> Result<RunResult, EngineError> {
     let start = Instant::now();
     let k = plan.k();
@@ -69,7 +50,7 @@ fn run_inner<V: GraphView>(
     // ---- Phase 1: BFS expansion under the memory budget. ----
     let mut frontier: Vec<u32> = Vec::new();
     let mut edges_filtered = 0u64;
-    if let Some(edges) = edges_override {
+    if let Some(edges) = edges {
         for &(u, v) in edges {
             frontier.push(u);
             frontier.push(v);
@@ -191,7 +172,7 @@ mod tests {
         let g = barabasi_albert(300, 4, 17);
         let plan = QueryPlan::build(&PatternId(pid).pattern());
         let cfg = MatcherConfig::tdfs().with_warps(3);
-        let r = run(&g, &plan, &cfg, budget, None).unwrap();
+        let r = run(&g, &plan, &cfg, budget, None, None).unwrap();
         assert_eq!(r.matches, reference_count(&g, &plan), "P{pid} @ {budget}");
     }
 
@@ -221,7 +202,7 @@ mod tests {
         let g = g.with_labels(tdfs_graph::generators::random_labels(n, 4, 19));
         let plan = QueryPlan::build(&PatternId(14).pattern());
         let cfg = MatcherConfig::tdfs().with_warps(2);
-        let r = run(&g, &plan, &cfg, 1 << 12, None).unwrap();
+        let r = run(&g, &plan, &cfg, 1 << 12, None, None).unwrap();
         assert_eq!(r.matches, reference_count(&g, &plan));
     }
 }

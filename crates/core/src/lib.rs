@@ -81,7 +81,6 @@ pub use storage::{budgeted_map_options, open_budgeted, BudgetCharge};
 // `tdfs-mem` directly.
 pub use tdfs_mem::{MemoryBudget, OverflowPolicy};
 
-use stack::StackFactory;
 use tdfs_gpu::device::Device;
 use tdfs_gpu::Clock;
 use tdfs_graph::GraphView;
@@ -106,7 +105,7 @@ pub fn match_plan<V: GraphView>(
     plan: &QueryPlan,
     cfg: &MatcherConfig,
 ) -> Result<RunResult, EngineError> {
-    match_plan_with_sink(g, plan, cfg, None)
+    run_engine(g, plan, cfg, None, None)
 }
 
 /// [`match_plan`] that additionally streams every match to `sink`
@@ -117,15 +116,7 @@ pub fn match_plan_with_sink<V: GraphView>(
     cfg: &MatcherConfig,
     sink: Option<&dyn sink::MatchSink>,
 ) -> Result<RunResult, EngineError> {
-    match cfg.strategy {
-        Strategy::Timeout { .. } | Strategy::NewKernel { .. } => {
-            let device = Device::in_group(0, 1, cfg.num_warps, cfg.chunk_size, cfg.queue_capacity);
-            engine::run_on_device_with_sink(g, plan, cfg, &device, Clock::real(), sink)
-        }
-        Strategy::HalfSteal => half_steal::run_with_sink(g, plan, cfg, &device_for(cfg), sink),
-        Strategy::Bfs { budget_bytes } => bfs::run_with_sink(g, plan, cfg, budget_bytes, sink),
-        Strategy::Hybrid { budget_bytes, .. } => hybrid::run(g, plan, cfg, budget_bytes, sink),
-    }
+    run_engine(g, plan, cfg, None, sink)
 }
 
 /// [`match_plan_with_sink`] restricted to an explicit initial-edge
@@ -145,29 +136,29 @@ pub fn match_plan_on_edges<V: GraphView>(
     edges: Vec<(u32, u32)>,
     sink: Option<&dyn sink::MatchSink>,
 ) -> Result<RunResult, EngineError> {
+    run_engine(g, plan, cfg, Some(edges), sink)
+}
+
+/// The one place a [`Strategy`] picks its engine. `edges` is an
+/// optional pre-admitted initial-edge list (`None` = the whole graph).
+fn run_engine<V: GraphView>(
+    g: &V,
+    plan: &QueryPlan,
+    cfg: &MatcherConfig,
+    edges: Option<Vec<(u32, u32)>>,
+    sink: Option<&dyn sink::MatchSink>,
+) -> Result<RunResult, EngineError> {
+    let device = || Device::in_group(0, 1, cfg.num_warps, cfg.chunk_size, cfg.queue_capacity);
     match cfg.strategy {
         Strategy::Timeout { .. } | Strategy::NewKernel { .. } => {
-            let device = device_for(cfg);
-            engine::run_on_device_from(
-                g,
-                plan,
-                cfg,
-                &device,
-                &StackFactory::for_config(cfg, g.max_degree()),
-                Clock::real(),
-                sink,
-                engine::InitialSource::Edges(edges),
-                std::time::Duration::ZERO,
-            )
+            engine::run_on_device(g, plan, cfg, &device(), Clock::real(), edges, sink)
         }
-        Strategy::HalfSteal => {
-            half_steal::run_on_edges_with_sink(g, plan, cfg, &device_for(cfg), edges, sink)
-        }
+        Strategy::HalfSteal => half_steal::run(g, plan, cfg, &device(), edges, sink),
         Strategy::Bfs { budget_bytes } => {
-            bfs::run_on_edges_with_sink(g, plan, cfg, budget_bytes, &edges, sink)
+            bfs::run(g, plan, cfg, budget_bytes, edges.as_deref(), sink)
         }
         Strategy::Hybrid { budget_bytes, .. } => {
-            hybrid::run_on_edges(g, plan, cfg, budget_bytes, &edges, sink)
+            hybrid::run(g, plan, cfg, budget_bytes, edges.as_deref(), sink)
         }
     }
 }
@@ -196,23 +187,12 @@ pub fn find_matches<V: GraphView>(
     let collector = CollectSink::with_cancel(limit, flag.clone());
     let cfg = cfg.clone().with_cancel(flag);
     let result = match_plan_with_sink(g, &plan, &cfg, Some(&collector))?;
-    let k = plan.k();
     let matches = collector
         .into_matches()
-        .into_iter()
-        .map(|by_pos| {
-            let mut by_vertex = vec![0u32; k];
-            for (i, &v) in by_pos.iter().enumerate() {
-                by_vertex[plan.order.order[i]] = v;
-            }
-            by_vertex
-        })
+        .iter()
+        .map(|by_pos| plan.by_vertex(by_pos))
         .collect();
     Ok((result, matches))
-}
-
-fn device_for(cfg: &MatcherConfig) -> Device {
-    Device::in_group(0, 1, cfg.num_warps, cfg.chunk_size, cfg.queue_capacity)
 }
 
 /// Convenience: count matches with the default T-DFS configuration.

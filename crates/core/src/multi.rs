@@ -65,7 +65,7 @@ pub fn run_multi_device<V: GraphView>(
                     cfg.chunk_size,
                     cfg.queue_capacity,
                 );
-                run_on_device(g, plan, cfg, &device, Clock::real())
+                run_on_device(g, plan, cfg, &device, Clock::real(), None, None)
             }));
         }
         handles

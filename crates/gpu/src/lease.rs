@@ -21,12 +21,12 @@
 //!   discarded ([`AckOutcome::Fenced`]), the reclaimed copy's ack
 //!   lands, and the count is credited once.
 //!
-//! The table is generic over the task payload: the engine-level
-//! [`LeasedQueue`] leases the paper's `⟨v1,v2,v3⟩` [`Task`]s straight
-//! off `Q_task`, while `tdfs-service` leases coarser edge-range shards
-//! of a whole query. Reclaim accepts a *splitter* so a straggling
-//! task can be decomposed into finer pieces on requeue — the lease
-//! layer's analogue of the paper's timeout decomposition.
+//! The table is generic over the task payload: `tdfs-service` leases
+//! edge-range shards of a whole query, and the cluster coordinator
+//! leases the same shards to remote nodes. Reclaim accepts a
+//! *splitter* so a straggling task can be decomposed into finer pieces
+//! on requeue — the lease layer's analogue of the paper's timeout
+//! decomposition.
 //!
 //! Leases are deliberately **not** on the intersect hot path: one lease
 //! covers an entire task (service shards run millions of set
@@ -37,8 +37,6 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-use crate::queue::{Task, TaskQueue};
 
 /// A granted lease: the task plus the fencing token `(task_id, epoch)`.
 ///
@@ -314,34 +312,6 @@ impl<T: Clone> LeaseTable<T> {
         }
     }
 
-    /// Leases a task that never went through `pending` — used by
-    /// [`LeasedQueue`] for tasks dequeued straight off the lock-free
-    /// ring.
-    pub fn grant_external(&self, task: T, worker_id: u32) -> Lease<T> {
-        let mut inner = self.lock();
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.stats.submitted += 1;
-        inner.stats.granted += 1;
-        let deadline = Instant::now() + self.timeout;
-        inner.outstanding.insert(
-            id,
-            OutstandingLease {
-                task: task.clone(),
-                epoch: 0,
-                worker_id,
-                deadline,
-            },
-        );
-        Lease {
-            task,
-            task_id: id,
-            worker_id,
-            epoch: 0,
-            deadline,
-        }
-    }
-
     /// Whether `lease` would still pass the epoch fence right now.
     ///
     /// Advisory only (the answer can change before the ack); useful to
@@ -558,82 +528,10 @@ impl<T: Clone> LeaseTable<T> {
     }
 }
 
-/// `Q_task` with leases: the paper's lock-free ring for fresh tasks,
-/// fronted by a [`LeaseTable`] so every dequeue is fenced.
-///
-/// `dequeue` prefers reclaimed tasks (they carry bumped epochs and are
-/// the oldest work in the system), then falls through to the ring.
-/// `reap` demotes expired leases back into the table's pending lane —
-/// not the ring — so their epochs survive the round trip.
-pub struct LeasedQueue {
-    queue: TaskQueue,
-    table: LeaseTable<Task>,
-}
-
-impl LeasedQueue {
-    /// A leased queue over a ring of `capacity_tasks` slots.
-    pub fn new(capacity_tasks: usize, lease_timeout: Duration) -> Self {
-        Self {
-            queue: TaskQueue::new(capacity_tasks),
-            table: LeaseTable::new(lease_timeout),
-        }
-    }
-
-    /// Enqueues a fresh task into the lock-free ring; `false` when full.
-    pub fn enqueue(&self, task: Task) -> bool {
-        let ok = self.queue.enqueue(task);
-        if ok {
-            self.table.changed.notify_all();
-        }
-        ok
-    }
-
-    /// Dequeues under a lease: reclaimed tasks first, then the ring.
-    pub fn dequeue(&self, worker_id: u32) -> Option<Lease<Task>> {
-        self.table.lease(worker_id).or_else(|| {
-            self.queue
-                .dequeue()
-                .map(|t| self.table.grant_external(t, worker_id))
-        })
-    }
-
-    /// Publishes a completed lease (see [`LeaseTable::ack`]).
-    pub fn ack(&self, lease: &Lease<Task>) -> AckOutcome {
-        self.table.ack(lease)
-    }
-
-    /// Reclaims expired leases; their `⟨v1,v2,v3⟩` tasks are already
-    /// minimal prefixes, so they requeue unsplit. Returns reclaimed ids.
-    pub fn reap(&self, now: Instant) -> Vec<u64> {
-        self.table.reap(now, |t| vec![*t])
-    }
-
-    /// Whether all work has been published: ring empty, no pending
-    /// reclaims, no outstanding leases.
-    pub fn drained(&self) -> bool {
-        self.queue.is_empty() && self.table.drained()
-    }
-
-    /// The underlying lock-free ring.
-    pub fn queue(&self) -> &TaskQueue {
-        &self.queue
-    }
-
-    /// The outstanding-lease table.
-    pub fn table(&self) -> &LeaseTable<Task> {
-        &self.table
-    }
-
-    /// Lifetime lease counters.
-    pub fn stats(&self) -> LeaseStats {
-        self.table.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     const NO_SPLIT: fn(&u32) -> Vec<u32> = |t| vec![*t];
@@ -815,84 +713,6 @@ mod tests {
         assert_eq!(r.acked_len(), 1);
         let fresh = r.submit(4u32);
         assert!(fresh > c, "id allocator resumes past the checkpoint");
-    }
-
-    #[test]
-    fn leased_queue_exactly_once_under_worker_deaths() {
-        // N workers pull Task leases; a seeded subset "die" (never ack).
-        // A reaper reclaims; the published sum must count every task
-        // exactly once despite deaths, re-grants, and zombie acks.
-        let q = Arc::new(LeasedQueue::new(256, Duration::from_millis(5)));
-        let total_tasks = 200u32;
-        for i in 0..total_tasks {
-            assert!(q.enqueue(Task::pair(i, i + 1)));
-        }
-        let expected: u64 = (0..total_tasks as u64).sum();
-        let published = Arc::new(AtomicU64::new(0));
-        let zombie_attempts = Arc::new(AtomicU64::new(0));
-
-        std::thread::scope(|scope| {
-            for w in 0..4u32 {
-                let q = Arc::clone(&q);
-                let published = Arc::clone(&published);
-                let zombie_attempts = Arc::clone(&zombie_attempts);
-                scope.spawn(move || {
-                    let mut rng = 0x9e3779b9u64 ^ (w as u64) << 7;
-                    let mut idle = 0;
-                    loop {
-                        match q.dequeue(w) {
-                            Some(lease) => {
-                                idle = 0;
-                                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-                                if rng >> 33 & 7 == 0 {
-                                    // "Die" while holding the lease, then
-                                    // come back as a zombie and try to
-                                    // publish after the deadline.
-                                    std::thread::sleep(Duration::from_millis(8));
-                                    if q.ack(&lease) == AckOutcome::Accepted {
-                                        published
-                                            .fetch_add(lease.task.v1 as u64, Ordering::Relaxed);
-                                    } else {
-                                        zombie_attempts.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                } else if q.ack(&lease) == AckOutcome::Accepted {
-                                    published.fetch_add(lease.task.v1 as u64, Ordering::Relaxed);
-                                }
-                            }
-                            None => {
-                                if q.drained() {
-                                    break;
-                                }
-                                idle += 1;
-                                if idle > 10_000 {
-                                    // Reaper duty falls to idle workers.
-                                    q.reap(Instant::now());
-                                    idle = 0;
-                                }
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                });
-            }
-            // Dedicated reaper.
-            let q = Arc::clone(&q);
-            scope.spawn(move || {
-                while !q.drained() {
-                    q.reap(Instant::now());
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            });
-        });
-
-        assert_eq!(published.load(Ordering::Relaxed), expected);
-        let s = q.stats();
-        assert_eq!(s.acked, total_tasks as u64, "each task published once");
-        assert_eq!(
-            s.fenced,
-            zombie_attempts.load(Ordering::Relaxed),
-            "every zombie publish is fenced"
-        );
     }
 
     #[test]

@@ -69,8 +69,7 @@ pub(crate) use {chaos_inject, chaos_point};
 pub use clock::Clock;
 pub use device::{Device, DeviceGroup};
 pub use lease::{
-    AckOutcome, Backlog, Lease, LeaseCheckpoint, LeaseStats, LeaseTable, LeasedQueue,
-    AFFINITY_WINDOW,
+    AckOutcome, Backlog, Lease, LeaseCheckpoint, LeaseStats, LeaseTable, AFFINITY_WINDOW,
 };
 pub use queue::{DequeueOp, EnqueueOp, OpStep, Task, TaskQueue, SPIN_LIMIT};
 pub use simd::DispatchCounts;

@@ -163,6 +163,17 @@ impl QueryPlan {
         self.levels.len()
     }
 
+    /// Remaps a position-indexed assignment (`m[i]` = data vertex at
+    /// matching position `i`, as the engines emit it) to pattern-vertex
+    /// indexing (`out[u]` = data vertex for pattern vertex `u`).
+    pub fn by_vertex(&self, by_pos: &[u32]) -> Vec<u32> {
+        let mut out = vec![0u32; by_pos.len()];
+        for (&u, &v) in self.order.order.iter().zip(by_pos) {
+            out[u] = v;
+        }
+        out
+    }
+
     /// Checks the compiled per-level symmetry constraints against a full
     /// position-indexed assignment (`m[i]` = data vertex at position `i`).
     pub fn constraints_satisfied(&self, m: &[u32]) -> bool {
@@ -209,6 +220,7 @@ mod tests {
                 // Position-indexed assignment from a vertex permutation.
                 let by_vertex: Vec<u32> = perm.iter().map(|&x| x as u32 * 3 + 1).collect();
                 let by_pos: Vec<u32> = (0..k).map(|i| by_vertex[plan.order.order[i]]).collect();
+                assert_eq!(plan.by_vertex(&by_pos), by_vertex, "{}", id.name());
                 assert_eq!(
                     plan.constraints_satisfied(&by_pos),
                     sb.satisfied(&by_vertex),

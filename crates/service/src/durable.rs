@@ -68,20 +68,17 @@ use tdfs_query::Pattern;
 
 use crate::snapshot::{self, QuerySnapshot};
 
-/// Durable-execution knobs (per service, overridable per query via
-/// [`crate::QueryRequest::with_durable`]).
+/// Durable-execution knobs, per service. Every query runs durably: it is
+/// sharded over leased edge ranges, worker panics and stalls are
+/// recovered instead of failing the query, and
+/// [`crate::Service::snapshot`] / [`crate::Service::resume`] work.
 #[derive(Debug, Clone)]
 pub struct DurableConfig {
-    /// Whether queries run durably by default. Durable execution shards
-    /// the query over leased edge ranges: worker panics and stalls are
-    /// recovered instead of failing the query, and
-    /// [`crate::Service::snapshot`] / [`crate::Service::resume`] work.
-    pub enabled: bool,
     /// Admitted edges per shard task, at most. Smaller shards mean finer
     /// recovery granularity and more lease traffic. A query with fewer
-    /// than `workers × shard_edges` admitted edges gets smaller shards,
-    /// one or more per worker, but none below four engine chunks (see
-    /// [`shard_target`]).
+    /// than `num_warps × shard_edges` admitted edges gets smaller shards,
+    /// one or more per shard worker, but none below four engine chunks
+    /// (see [`shard_target`]).
     pub shard_edges: usize,
     /// Lease duration; a shard not acked within it is considered
     /// stalled and reclaimed. Reclaiming a *live* worker is safe (its
@@ -94,23 +91,15 @@ pub struct DurableConfig {
     /// exceeds this bound (it was reclaimed this many times without
     /// ever acking).
     pub max_task_epochs: u32,
-    /// Shard-worker threads per durable query; they race on the lease
-    /// table and split the query's warp budget between them. `0` (the
-    /// default) uses the query's `num_warps`, each shard running
-    /// single-warp, so total parallelism matches the non-durable run;
-    /// explicit lower counts give each shard a multi-warp engine run.
-    pub workers: usize,
 }
 
 impl Default for DurableConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             shard_edges: 512,
             lease_timeout: Duration::from_millis(500),
             watchdog_interval: Duration::from_millis(10),
             max_task_epochs: 16,
-            workers: 0,
         }
     }
 }
@@ -375,7 +364,7 @@ pub(crate) fn fresh_state<V: GraphView>(
     let edge_count = edges.len() as u64;
     let target = shard_target(
         edges.len(),
-        shard_workers(dcfg, &config),
+        shard_workers(&config),
         config.chunk_size,
         dcfg.shard_edges,
     );
@@ -398,14 +387,10 @@ pub(crate) fn fresh_state<V: GraphView>(
     ))
 }
 
-/// Shard workers a durable query runs: [`DurableConfig::workers`], or
-/// the query's warp count when that is 0.
-fn shard_workers(dcfg: &DurableConfig, config: &MatcherConfig) -> usize {
-    match dcfg.workers {
-        0 => config.num_warps,
-        n => n,
-    }
-    .max(1)
+/// Shard workers a query runs: one per warp of its configuration. They
+/// race on the lease table, and each runs its shards single-warp.
+fn shard_workers(config: &MatcherConfig) -> usize {
+    config.num_warps.max(1)
 }
 
 /// Admitted edges per shard for a query of `n` admitted edges run by
@@ -539,12 +524,7 @@ pub(crate) fn execute<V: GraphView>(
     dcfg: &DurableConfig,
     start: Instant,
 ) -> Result<RunResult, EngineError> {
-    let workers = shard_workers(dcfg, job.config);
-    // The query's warp budget is split across the shard workers (auto:
-    // one single-warp engine run per worker, so total parallelism
-    // matches the non-durable run); configuring fewer workers gives
-    // each shard a multi-warp run with the engine balancing inside it.
-    let shard_warps = (job.config.num_warps / workers).max(1);
+    let workers = shard_workers(job.config);
     // A worker's resident task queue is sized for the query's full
     // shard: a shard seeds at most that many walks, so the full-query
     // queue is outsized for it, and queue-full still degrades to
@@ -555,10 +535,7 @@ pub(crate) fn execute<V: GraphView>(
         job.config.chunk_size,
         dcfg.shard_edges,
     );
-    let resident = Resident {
-        warps: shard_warps,
-        queue: job.config.queue_capacity.min(shard_queue(full_shard)),
-    };
+    let queue = job.config.queue_capacity.min(shard_queue(full_shard));
     let live = AtomicUsize::new(workers);
 
     std::thread::scope(|scope| {
@@ -578,7 +555,7 @@ pub(crate) fn execute<V: GraphView>(
                     }
                 }
                 let _live = LiveGuard(live, &state);
-                shard_worker(&state, job, wid as u32, resident);
+                shard_worker(&state, job, wid as u32, queue);
             });
         }
         watchdog(state, job, dcfg, &live);
@@ -610,19 +587,10 @@ fn shard_queue(edges: usize) -> usize {
     (edges * 4).max(1024)
 }
 
-/// The shape of a shard worker's resident device, fixed per query.
-#[derive(Clone, Copy)]
-struct Resident {
-    /// Engine warps per shard run.
-    warps: usize,
-    /// Task-queue capacity, sized for the query's full shard.
-    queue: usize,
-}
-
-/// A shard worker's resident device: `Q_task` with its chunk cursor,
-/// and the stack arena, built once and reused by every T-DFS shard the
-/// worker runs, as the paper's warps reuse the memory allocated for
-/// them up front. Each run rewinds the cursor and restarts the queue
+/// A shard worker's resident one-warp device: `Q_task` with its chunk
+/// cursor, and the stack arena, built once and reused by every T-DFS
+/// shard the worker runs, as the paper's warps reuse the memory
+/// allocated for them up front. Each run rewinds the cursor and restarts the queue
 /// counters and arena peak (`run_on_device_from`), so its stats are
 /// those of a fresh device.
 struct ShardDevice {
@@ -631,10 +599,12 @@ struct ShardDevice {
 }
 
 impl ShardDevice {
-    fn new<V: GraphView>(job: &DurableJob<'_, V>, resident: Resident) -> Self {
+    /// `queue` is the task-queue capacity, sized for the query's full
+    /// shard.
+    fn new<V: GraphView>(job: &DurableJob<'_, V>, queue: usize) -> Self {
         let cfg = job.config;
         Self {
-            device: Device::in_group(0, 1, resident.warps, cfg.chunk_size, resident.queue),
+            device: Device::in_group(0, 1, 1, cfg.chunk_size, queue),
             stacks: StackFactory::for_config(cfg, job.graph.max_degree()),
         }
     }
@@ -644,7 +614,7 @@ fn shard_worker<V: GraphView>(
     state: &Arc<DurableState>,
     job: &DurableJob<'_, V>,
     wid: u32,
-    resident: Resident,
+    queue: usize,
 ) {
     // Built at the first T-DFS lease. Dropped after a shard whose run did
     // not end cleanly, which can leave tasks in its queue, and while
@@ -694,9 +664,9 @@ fn shard_worker<V: GraphView>(
             continue;
         };
         if matches!(job.config.strategy, Strategy::Timeout { .. }) && device.is_none() {
-            device = Some(ShardDevice::new(job, resident));
+            device = Some(ShardDevice::new(job, queue));
         }
-        if !run_shard(state, job, &lease, resident.warps, device.as_ref()) {
+        if !run_shard(state, job, &lease, device.as_ref()) {
             device = None;
         }
     }
@@ -710,7 +680,6 @@ fn run_shard<V: GraphView>(
     state: &Arc<DurableState>,
     job: &DurableJob<'_, V>,
     lease: &Lease<Shard>,
-    shard_warps: usize,
     device: Option<&ShardDevice>,
 ) -> bool {
     // Private cancel token: raised by the watchdog on reclaim (zombie
@@ -722,7 +691,7 @@ fn run_shard<V: GraphView>(
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .insert(lease.task_id, flag.clone());
 
-    let mut cfg = job.config.clone().with_cancel(flag).with_warps(shard_warps);
+    let mut cfg = job.config.clone().with_cancel(flag).with_warps(1);
     if let Some(d) = job.deadline {
         cfg.time_limit = Some(d.saturating_duration_since(Instant::now()));
     }
@@ -838,17 +807,12 @@ fn flush_emissions<V: GraphView>(
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner),
     );
-    let order = &job.plan.order.order;
     for m in &rows {
         if let Some(c) = job.collector {
             c.emit(m);
         }
         if let Some(client) = job.client {
-            let mut by_vertex = vec![0u32; m.len()];
-            for (i, &v) in m.iter().enumerate() {
-                by_vertex[order[i]] = v;
-            }
-            client.emit(&by_vertex);
+            client.emit(&job.plan.by_vertex(m));
         }
     }
     state
@@ -908,9 +872,9 @@ fn watchdog<V: GraphView>(
 mod tests {
     use super::*;
 
-    /// At 2 workers a fresh query's shards follow the cap rule:
-    /// `shard_edges` (512), lowered so both workers get a shard, but
-    /// never below four 8-edge chunks.
+    /// A fresh 2-warp query runs 2 shard workers, and its shards follow
+    /// the cap rule: `shard_edges` (512), lowered so both workers get a
+    /// shard, but never below four 8-edge chunks.
     #[test]
     fn fresh_state_gives_each_worker_a_shard_down_to_four_chunks() {
         // A ring: every vertex has degree 2, so the degree-weighted cuts
@@ -922,11 +886,8 @@ mod tests {
         }
         let g = b.build();
         let ring: Vec<(u32, u32)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
-        let dcfg = DurableConfig {
-            workers: 2,
-            ..DurableConfig::default()
-        };
-        let config = MatcherConfig::tdfs();
+        let dcfg = DurableConfig::default();
+        let config = MatcherConfig::tdfs().with_warps(2);
         for (edges, shards) in [(8, 1), (32, 1), (33, 2), (80, 2), (5000, 10)] {
             let state = fresh_state(
                 0,

@@ -248,8 +248,8 @@ impl GovernorConfig {
     }
 
     /// Queue scanning for expired deadlines is tied to any active
-    /// mechanism (a fully-default governor leaves the legacy behaviour:
-    /// workers check at dequeue).
+    /// mechanism (a fully-default governor leaves the check to the
+    /// workers, at dequeue).
     fn deadline_sheds(&self) -> bool {
         self.memory_budget_pages.is_some()
             || self.shed_policy != ShedPolicy::None

@@ -19,7 +19,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -29,8 +29,8 @@ use tdfs_core::budgeted_map_options;
 use tdfs_core::engine::edge_admitted;
 use tdfs_core::retry::{retry, BackoffPolicy, Retry};
 use tdfs_core::{
-    host_filter_edges, match_plan_on_edges, match_plan_with_sink, CancelFlag, CollectSink,
-    EngineError, MatchSink, MatcherConfig, MemoryBudget, RunResult, RunStats,
+    host_filter_edges, match_plan_on_edges, CancelFlag, CollectSink, EngineError, MatchSink,
+    MatcherConfig, MemoryBudget, RunResult, RunStats,
 };
 use tdfs_gpu::lease::LeaseStats;
 use tdfs_graph::mapped::DEFAULT_CACHE_BYTES;
@@ -70,16 +70,10 @@ pub struct ServiceConfig {
     pub plan_cache_capacity: usize,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline: Option<Duration>,
-    /// Maximum poisoned-worker restarts over the service's lifetime. A
-    /// worker that panics mid-query fails that query with
-    /// [`EngineError::WorkerPanicked`], retires, and is replaced by a
-    /// fresh thread while restarts remain; past the limit the panicking
-    /// thread keeps serving (the pool never shrinks) but the panic is
-    /// still counted.
-    pub worker_restart_limit: usize,
-    /// Durable-execution defaults (leases, watchdog, sharding). Durable
-    /// runs recover worker panics and stalls per shard — the restart
-    /// limit above is the backstop for panics *outside* shard execution.
+    /// Durable-execution knobs (leases, watchdog, sharding). Every query
+    /// runs durably, which recovers worker panics and stalls per shard; a
+    /// panic outside shard execution fails only its own query with
+    /// [`EngineError::WorkerPanicked`], and the worker keeps serving.
     pub durability: DurableConfig,
     /// Overload-governor knobs: global memory budget with
     /// snapshot-suspension, cost-aware admission, queue shedding, and
@@ -95,7 +89,6 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             plan_cache_capacity: 64,
             default_deadline: None,
-            worker_restart_limit: 8,
             durability: DurableConfig::default(),
             governor: GovernorConfig::default(),
         }
@@ -173,9 +166,8 @@ impl std::error::Error for Rejected {}
 /// Why [`Service::snapshot`] could not produce a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// No durable query with this id is registered (unknown id,
-    /// non-durable query, or evicted from the completed-query retention
-    /// window).
+    /// No query with this id is registered (unknown id, or evicted from
+    /// the completed-query retention window).
     UnknownQuery(u64),
     /// The query is admitted but still waiting in the queue; it has no
     /// execution state yet. Retry once it starts (or cancel it — an
@@ -354,9 +346,6 @@ pub struct QueryRequest {
     /// assignments (`m[u]` = data vertex for pattern vertex `u`),
     /// concurrently from the engine's warps.
     pub sink: Option<Arc<dyn MatchSink + Send + Sync>>,
-    /// Per-query override of [`ServiceConfig::durability`]`.enabled`;
-    /// `None` uses the service default.
-    pub durable: Option<bool>,
     /// Scheduling priority: under overload the governor sheds `Low`
     /// work first, and an open circuit breaker admits only `High`.
     pub priority: Priority,
@@ -379,7 +368,6 @@ impl QueryRequest {
             deadline: None,
             collect_limit: None,
             sink: None,
-            durable: None,
             priority: Priority::Normal,
             seed_edges: None,
         }
@@ -406,15 +394,6 @@ impl QueryRequest {
     /// Streams matches to `sink` as they are found.
     pub fn with_sink(mut self, sink: Arc<dyn MatchSink + Send + Sync>) -> Self {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Overrides the service's durable-execution default for this query.
-    /// `with_durable(false)` runs the legacy single-shot path: no
-    /// leases, no snapshot/resume, and a worker panic fails the query
-    /// with [`EngineError::WorkerPanicked`].
-    pub fn with_durable(mut self, durable: bool) -> Self {
-        self.durable = Some(durable);
         self
     }
 
@@ -463,10 +442,10 @@ pub struct QueryOutcome {
     /// Collected matches when the request set a `collect_limit`
     /// (pattern-vertex-indexed).
     pub matches: Option<Vec<Vec<u32>>>,
-    /// Exact partial-progress accounting when a durable query ended
-    /// early (`result` is `Err(TimeLimit)` or `Err(Shed)`): the counted
-    /// lower bound and the shard completion ratio. `None` for complete
-    /// queries, non-durable queries, and queries shed before starting.
+    /// Exact partial-progress accounting when a query ended early
+    /// (`result` is `Err(TimeLimit)` or `Err(Shed)`): the counted lower
+    /// bound and the shard completion ratio. `None` for complete queries
+    /// and for queries that expired or were shed before starting.
     pub partial: Option<PartialResult>,
     /// Submission-to-completion wall time (queueing included).
     pub latency: Duration,
@@ -568,13 +547,13 @@ pub struct ServiceMetrics {
     /// Resubmissions performed by [`Service::submit_with_retry`] after a
     /// [`Rejected::QueueFull`] (each counted rejection that was retried).
     pub admission_retries: u64,
-    /// Worker threads that panicked mid-query. The query fails with
-    /// [`EngineError::WorkerPanicked`]; the service keeps running.
+    /// Panics that reached a service worker outside shard execution
+    /// (shard panics are recovered per lease and counted in
+    /// `leases_reclaimed`). The query fails with
+    /// [`EngineError::WorkerPanicked`]; the worker keeps serving.
     pub worker_panics: u64,
-    /// Replacement workers spawned for panicked ones (≤ `worker_panics`,
-    /// bounded by [`ServiceConfig::worker_restart_limit`]).
-    pub workers_restarted: u64,
-    /// Queries executed on the durable (leased-shard) path.
+    /// Queries that started executing (every query runs on the durable,
+    /// leased-shard path).
     pub durable_queries: u64,
     /// Shard leases granted across all durable queries.
     pub leases_granted: u64,
@@ -641,7 +620,7 @@ impl ServiceMetrics {
              {} unmeetable, {} browned-out; depth {}\n\
              outcomes: {} completed ({} cancelled), {} deadline-expired, {} failed, {} shed\n\
              latency: {:.2} ms mean, {:.2} ms max\n\
-             faults: {} admission retries, {} worker panics, {} workers restarted\n\
+             faults: {} admission retries, {} worker panics\n\
              governor: {} suspends, {} partials served, {} breaker changes ({:?}); \
              budget {}/{} pages (peak {})\n\
              durable: {} queries, {} resumes; leases {} granted / {} reclaimed / {} fenced; \
@@ -668,7 +647,6 @@ impl ServiceMetrics {
             self.max_latency.as_secs_f64() * 1e3,
             self.admission_retries,
             self.worker_panics,
-            self.workers_restarted,
             self.suspends,
             self.partials_served,
             self.breaker_state_changes,
@@ -718,7 +696,6 @@ struct Job {
     collect_limit: Option<usize>,
     sink: Option<Arc<dyn MatchSink + Send + Sync>>,
     cancel: CancelFlag,
-    durable: bool,
     priority: Priority,
     /// Pre-compiled plan override. Maintenance jobs carry their rooted
     /// (anchor-pinned, symmetry-free) plans, which must bypass the
@@ -766,7 +743,6 @@ struct MetricCounters {
     breaker_state_changes: u64,
     admission_retries: u64,
     worker_panics: u64,
-    workers_restarted: u64,
     durable_queries: u64,
     snapshots_taken: u64,
     snapshot_bytes: u64,
@@ -791,16 +767,6 @@ struct DurableRegistry {
     base: LeaseStats,
 }
 
-/// Worker handles plus the respawn gate, under one lock so a poisoned
-/// worker's replacement can never race past [`Service::shutdown`]'s
-/// drain: either the respawn sees `closed` and declines, or the pushed
-/// handle is visible to the next drain pass.
-struct WorkerPool {
-    handles: Vec<JoinHandle<()>>,
-    closed: bool,
-    restarts: usize,
-}
-
 struct Inner {
     catalog: GraphCatalog,
     cache: PlanCache,
@@ -810,9 +776,7 @@ struct Inner {
     next_id: Mutex<u64>,
     queue_capacity: usize,
     default_deadline: Option<Duration>,
-    workers: Mutex<WorkerPool>,
-    restart_limit: usize,
-    next_worker: AtomicUsize,
+    workers: Mutex<Vec<JoinHandle<()>>>,
     durable_cfg: DurableConfig,
     durable: Mutex<DurableRegistry>,
     num_workers: usize,
@@ -905,27 +869,16 @@ fn lock_breaker(inner: &Inner) -> std::sync::MutexGuard<'_, Breaker> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Fan-out sink used per job: feeds the bounded collector (raw
-/// position-indexed, remapped later in bulk) and the client's streaming
-/// sink (remapped per match to pattern-vertex indexing).
+/// Feeds a client sink the engine's position-indexed matches remapped
+/// to pattern-vertex indexing.
 struct ServiceSink<'a> {
-    collect: Option<&'a CollectSink>,
-    client: Option<&'a dyn MatchSink>,
-    order: &'a [usize],
+    client: &'a dyn MatchSink,
+    plan: &'a QueryPlan,
 }
 
 impl MatchSink for ServiceSink<'_> {
     fn emit(&self, m: &[u32]) {
-        if let Some(c) = self.collect {
-            c.emit(m);
-        }
-        if let Some(s) = self.client {
-            let mut by_vertex = vec![0u32; m.len()];
-            for (i, &v) in m.iter().enumerate() {
-                by_vertex[self.order[i]] = v;
-            }
-            s.emit(&by_vertex);
-        }
+        self.client.emit(&self.plan.by_vertex(m));
     }
 }
 
@@ -983,13 +936,7 @@ impl Service {
             next_id: Mutex::new(0),
             queue_capacity: config.queue_capacity.max(1),
             default_deadline: config.default_deadline,
-            workers: Mutex::new(WorkerPool {
-                handles: Vec::new(),
-                closed: false,
-                restarts: 0,
-            }),
-            restart_limit: config.worker_restart_limit,
-            next_worker: AtomicUsize::new(workers),
+            workers: Mutex::new(Vec::new()),
             durable_cfg: config.durability,
             durable: Mutex::new(DurableRegistry::default()),
             num_workers: workers,
@@ -1012,12 +959,7 @@ impl Service {
                     .expect("spawn service worker")
             })
             .collect();
-        inner
-            .workers
-            .lock()
-            .expect("workers poisoned")
-            .handles
-            .extend(handles);
+        *inner.workers.lock().expect("workers poisoned") = handles;
         if inner.governor_cfg.needs_thread() {
             let arc = inner.clone();
             let handle = std::thread::Builder::new()
@@ -1270,7 +1212,6 @@ impl Service {
             *next += 1;
             *next
         };
-        let durable = request.durable.unwrap_or(self.inner.durable_cfg.enabled);
         let job = Job {
             id,
             graph_name: request.graph,
@@ -1281,7 +1222,6 @@ impl Service {
             collect_limit: request.collect_limit,
             sink: request.sink,
             cancel: cancel.clone(),
-            durable,
             priority: request.priority,
             plan: None,
             seed_edges: request.seed_edges,
@@ -1477,7 +1417,6 @@ impl Service {
             collect_limit: None,
             sink: None,
             cancel: cancel.clone(),
-            durable: true,
             priority: Priority::Normal,
             plan: None,
             seed_edges: None,
@@ -1757,7 +1696,6 @@ impl Service {
             collect_limit: None,
             sink: Some(sink.clone() as Arc<dyn MatchSink + Send + Sync>),
             cancel: CancelFlag::new(),
-            durable: true,
             priority: Priority::Low,
             plan: Some(plan.clone()),
             seed_edges: Some(seeds.to_vec()),
@@ -1799,18 +1737,17 @@ impl Service {
                 .filter(|&(u, v)| edge_admitted(&**view, plan, u, v))
                 .collect();
             let remap = ServiceSink {
-                collect: None,
-                client: Some(sink.as_ref() as &dyn MatchSink),
-                order: &plan.order.order,
+                client: sink.as_ref(),
+                plan,
             };
             let _ = match_plan_on_edges(&**view, plan, &sq.config, admitted_seeds, Some(&remap));
         }
     }
 
-    /// Live progress of a durable query (pending/outstanding/acked
-    /// shards, published counts, lease counters, wedge diagnostics);
-    /// `None` for unknown ids, non-durable queries, and queries evicted
-    /// from the completed-query retention window.
+    /// Live progress of a query (pending/outstanding/acked shards,
+    /// published counts, lease counters, wedge diagnostics); `None` for
+    /// unknown ids, queries not yet started, and queries evicted from
+    /// the completed-query retention window.
     pub fn progress(&self, query_id: u64) -> Option<QueryProgress> {
         lock_durable(&self.inner)
             .states
@@ -1900,7 +1837,6 @@ impl Service {
             queue_depth: depth,
             admission_retries: m.admission_retries,
             worker_panics: m.worker_panics,
-            workers_restarted: m.workers_restarted,
             durable_queries: m.durable_queries,
             leases_granted: leases.granted,
             leases_reclaimed: leases.reclaimed,
@@ -1951,26 +1887,15 @@ impl Service {
                 s.ledger.poke();
             }
         }
-        // Drain-and-join until the pool is empty: closing the pool first
-        // stops further respawns, and any replacement pushed before the
-        // close is picked up by a later pass.
-        loop {
-            let handles: Vec<_> = {
-                let mut pool = self
-                    .inner
-                    .workers
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                pool.closed = true;
-                pool.handles.drain(..).collect()
-            };
-            if handles.is_empty() {
-                break;
-            }
-            for w in handles {
-                let _ = w.join();
-            }
-            self.inner.available.notify_all();
+        let handles = std::mem::take(
+            &mut *self
+                .inner
+                .workers
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        );
+        for w in handles {
+            let _ = w.join();
         }
     }
 }
@@ -1995,51 +1920,18 @@ fn worker_loop(inner: &Arc<Inner>) {
                 q = inner.available.wait(q).expect("queue poisoned");
             }
         };
-        match job {
-            Some(job) => {
-                let panicked =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| run_job(inner, &job))).is_err();
-                if panicked {
-                    // The query dies with the panic, not the service: fail
-                    // it explicitly so the client's `wait` returns, then
-                    // retire this (possibly poisoned) thread and hand the
-                    // pool slot to a fresh one.
-                    lock_metrics(inner).worker_panics += 1;
-                    finish(inner, &job, Err(EngineError::WorkerPanicked), None, None);
-                    if respawn_replacement(inner) {
-                        return;
-                    }
-                    // Past the restart limit, or shutting down: keep
-                    // serving on this thread — the pool never shrinks.
-                }
-            }
-            None => return,
+        let Some(job) = job else { return };
+        let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| run_job(inner, &job))).is_err();
+        if panicked {
+            // Shard panics are recovered inside the run; this is a panic
+            // outside shard execution. The query dies with it, not the
+            // worker: fail it explicitly so the client's `wait` returns,
+            // and keep serving on this thread, which holds no per-query
+            // state past the unwind.
+            lock_metrics(inner).worker_panics += 1;
+            finish(inner, &job, Err(EngineError::WorkerPanicked), None, None);
         }
     }
-}
-
-/// Spawns a replacement worker for a panicked one, unless the pool is
-/// closed (shutdown) or the lifetime restart budget is spent. Returns
-/// whether the caller should retire.
-fn respawn_replacement(inner: &Arc<Inner>) -> bool {
-    let mut pool = inner
-        .workers
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if pool.closed || pool.restarts >= inner.restart_limit {
-        return false;
-    }
-    pool.restarts += 1;
-    let n = inner.next_worker.fetch_add(1, Ordering::Relaxed);
-    let arc = inner.clone();
-    let handle = std::thread::Builder::new()
-        .name(format!("tdfs-service-{n}"))
-        .spawn(move || worker_loop(&arc))
-        .expect("spawn replacement worker");
-    pool.handles.push(handle);
-    drop(pool);
-    lock_metrics(inner).workers_restarted += 1;
-    true
 }
 
 /// Suspends one durable query: checkpoint first (crash consistency),
@@ -2192,14 +2084,15 @@ fn govern_once(inner: &Arc<Inner>, local: &mut GovernorLocal, now: Instant) {
 /// The plan a job runs: its pre-compiled override (maintenance jobs
 /// carry rooted plans the cache must not serve) or the cache's plan for
 /// (graph, version, pattern, options).
-fn job_plan(inner: &Inner, job: &Job, cfg: &MatcherConfig) -> Arc<QueryPlan> {
+fn job_plan(inner: &Inner, job: &Job) -> Arc<QueryPlan> {
     match &job.plan {
         Some(p) => p.clone(),
-        None => {
-            inner
-                .cache
-                .get_or_build(&job.graph_name, job.graph.version(), &job.pattern, cfg.plan)
-        }
+        None => inner.cache.get_or_build(
+            &job.graph_name,
+            job.graph.version(),
+            &job.pattern,
+            job.config.plan,
+        ),
     }
 }
 
@@ -2217,95 +2110,30 @@ fn admitted_seeds(job: &Job, plan: &QueryPlan) -> Vec<(u32, u32)> {
         .collect()
 }
 
+/// Executes a query: shard the admitted edge list into a lease ledger,
+/// run shard workers under the per-query watchdog, and publish counts
+/// through epoch-fenced acks. See [`crate::durable`].
 fn run_job(inner: &Inner, job: &Job) {
     // Disk-resident graph: pin the decode cache for the whole run — the
     // engines hold neighbor slices across deep DFS descents, and the
     // scope lets concurrent eviction reclaim *other* queries' segments
     // without invalidating this one's.
     let _scope = job.graph.pin_scope();
-    if job.durable {
-        run_durable_job(inner, job);
-        return;
-    }
-    // On the legacy path the kill point covers the whole query (a
-    // scripted panic here fails it with `WorkerPanicked`); the durable
-    // path fires it per shard instead, where it is a recovered fault.
-    crate::chaos_point!("service.worker.run");
-    let mut cfg = job.config.clone().with_cancel(job.cancel.clone());
-    if job.scope.is_some() {
-        cfg.memory_budget = job.scope.clone();
-    }
-    if let Some(deadline) = job.deadline {
-        match deadline.checked_sub(job.submitted.elapsed()) {
-            Some(remaining) => {
-                cfg.time_limit = Some(match cfg.time_limit {
-                    Some(t) => t.min(remaining),
-                    None => remaining,
-                });
-            }
-            None => {
-                // Expired while queued: same outcome as an in-run miss,
-                // without paying for planning or execution.
-                finish(inner, job, Err(EngineError::TimeLimit), None, None);
-                return;
-            }
-        }
-    }
-    let plan = job_plan(inner, job, &cfg);
-    let collector = job
-        .collect_limit
-        .map(|limit| CollectSink::with_cancel(limit, job.cancel.clone()));
-    let sink = ServiceSink {
-        collect: collector.as_ref(),
-        client: job.sink.as_deref().map(|s| s as &dyn MatchSink),
-        order: &plan.order.order,
-    };
-    let sink_opt: Option<&dyn MatchSink> = if sink.collect.is_some() || sink.client.is_some() {
-        Some(&sink)
-    } else {
-        None
-    };
-    let result = match &job.seed_edges {
-        Some(_) => {
-            let seeds = admitted_seeds(job, &plan);
-            match_plan_on_edges(&*job.graph, &plan, &cfg, seeds, sink_opt)
-        }
-        None => match_plan_with_sink(&*job.graph, &plan, &cfg, sink_opt),
-    };
-    let matches = collector.map(|c| {
-        let k = plan.k();
-        c.into_matches()
-            .into_iter()
-            .map(|by_pos| {
-                let mut by_vertex = vec![0u32; k];
-                for (i, &v) in by_pos.iter().enumerate() {
-                    by_vertex[plan.order.order[i]] = v;
-                }
-                by_vertex
-            })
-            .collect()
-    });
-    finish(inner, job, result, matches, None);
-}
-
-/// Executes a query on the durable path: shard the admitted edge list
-/// into a lease ledger, run shard workers under the per-query watchdog,
-/// and publish counts through epoch-fenced acks. See [`crate::durable`].
-fn run_durable_job(inner: &Inner, job: &Job) {
     let start = Instant::now();
-    // Deadline accounting mirrors the legacy path: the engine time
-    // limit and the from-submission deadline combine into one absolute
-    // instant each shard derives its remaining budget from.
+    // The engine time limit and the from-submission deadline combine
+    // into one absolute instant each shard derives its remaining budget
+    // from.
     let mut deadline_at = job.config.time_limit.map(|l| start + l);
     if let Some(d) = job.deadline {
         let abs = job.submitted + d;
         if Instant::now() > abs {
+            // Expired while queued: no planning, no execution.
             finish(inner, job, Err(EngineError::TimeLimit), None, None);
             return;
         }
         deadline_at = Some(deadline_at.map_or(abs, |x| x.min(abs)));
     }
-    let plan = job_plan(inner, job, &job.config);
+    let plan = job_plan(inner, job);
     let edges = match &job.seed_edges {
         Some(_) => admitted_seeds(job, &plan),
         None => host_filter_edges(&*job.graph, &plan),
@@ -2356,23 +2184,11 @@ fn run_durable_job(inner: &Inner, job: &Job) {
         client: job.sink.as_deref().map(|s| s as &dyn MatchSink),
     };
     let result = durable::execute(&state, &djob, &inner.durable_cfg, start);
-    let matches = collector.map(|c| {
-        let k = plan.k();
-        c.into_matches()
-            .into_iter()
-            .map(|by_pos| {
-                let mut by_vertex = vec![0u32; k];
-                for (i, &v) in by_pos.iter().enumerate() {
-                    by_vertex[plan.order.order[i]] = v;
-                }
-                by_vertex
-            })
-            .collect()
-    });
+    let matches = collector.map(|c| c.into_matches().iter().map(|m| plan.by_vertex(m)).collect());
 
     state.done.store(true, Ordering::Relaxed);
-    // A durable query that ran out of time (or was shed mid-run) still
-    // has an exact counted lower bound: the sum published by accepted
+    // A query that ran out of time (or was shed mid-run) still has an
+    // exact counted lower bound: the sum published by accepted
     // acks, with the shard completion ratio alongside it. Computed after
     // `execute` returned, so the ledger is quiescent.
     let partial = match &result {
@@ -2693,94 +2509,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, Rejected::UnknownGraph("nope".into()));
         assert_eq!(svc.metrics().admission_retries, 0);
-    }
-
-    /// A sink that panics on the first emit only — models a poisoned
-    /// worker without risking a double panic (which would abort).
-    struct PanicOnceSink {
-        armed: std::sync::atomic::AtomicBool,
-    }
-
-    impl MatchSink for PanicOnceSink {
-        fn emit(&self, _m: &[u32]) {
-            if self.armed.swap(false, Ordering::SeqCst) {
-                panic!("sink panic (injected by test)");
-            }
-        }
-    }
-
-    #[test]
-    fn worker_panic_fails_query_and_restarts_worker() {
-        let svc = Service::new(ServiceConfig {
-            workers: 1,
-            queue_capacity: 8,
-            plan_cache_capacity: 4,
-            ..ServiceConfig::default()
-        });
-        svc.register_graph("k5", k5());
-        let sink = Arc::new(PanicOnceSink {
-            armed: std::sync::atomic::AtomicBool::new(true),
-        });
-        // Legacy path opt-out: durable execution would recover this
-        // panic per shard instead of failing the query.
-        let h = svc
-            .submit(
-                QueryRequest::new("k5", Pattern::clique(3))
-                    .with_sink(sink)
-                    .with_durable(false),
-            )
-            .unwrap();
-        let out = h.wait();
-        assert!(matches!(out.result, Err(EngineError::WorkerPanicked)));
-        // The sole worker was replaced: the next query still runs.
-        let out = svc
-            .submit(QueryRequest::new("k5", Pattern::clique(3)))
-            .unwrap()
-            .wait();
-        assert_eq!(out.result.unwrap().matches, 10);
-        let m = svc.metrics();
-        assert_eq!(m.worker_panics, 1);
-        assert_eq!(m.workers_restarted, 1);
-        assert_eq!(m.failed, 1);
-        assert_eq!(m.completed, 1);
-        let s = m.summary();
-        assert!(
-            s.contains("1 worker panics"),
-            "summary missing faults:\n{s}"
-        );
-        svc.shutdown();
-    }
-
-    #[test]
-    fn exhausted_restart_budget_keeps_the_pool_serving() {
-        let svc = Service::new(ServiceConfig {
-            workers: 1,
-            queue_capacity: 8,
-            plan_cache_capacity: 4,
-            worker_restart_limit: 0,
-            ..ServiceConfig::default()
-        });
-        svc.register_graph("k5", k5());
-        let sink = Arc::new(PanicOnceSink {
-            armed: std::sync::atomic::AtomicBool::new(true),
-        });
-        let h = svc
-            .submit(
-                QueryRequest::new("k5", Pattern::clique(3))
-                    .with_sink(sink)
-                    .with_durable(false),
-            )
-            .unwrap();
-        assert!(matches!(h.wait().result, Err(EngineError::WorkerPanicked)));
-        // No restart budget: the panicking thread itself keeps serving.
-        let out = svc
-            .submit(QueryRequest::new("k5", Pattern::clique(3)))
-            .unwrap()
-            .wait();
-        assert_eq!(out.result.unwrap().matches, 10);
-        let m = svc.metrics();
-        assert_eq!(m.worker_panics, 1);
-        assert_eq!(m.workers_restarted, 0);
     }
 
     #[test]

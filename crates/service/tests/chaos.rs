@@ -1,7 +1,7 @@
-//! Service-layer chaos tests (requires `--features chaos`): the
-//! `service.worker.run` fault point drives the poisoned-worker recovery
-//! path from the outside — no cooperating sink required, the worker
-//! thread itself is killed mid-job.
+//! Service-layer chaos tests (requires `--features chaos`): scripted
+//! fault points drive the governor's suspend path, the brownout
+//! breaker and shard recovery from the outside — no cooperating sink
+//! required.
 //!
 //! Every test holds a `ChaosGuard` because the fault-point registry is
 //! process-global; the guard serializes chaos tests within one binary.
@@ -27,105 +27,6 @@ fn k5() -> Arc<tdfs_graph::CsrGraph> {
         }
     }
     Arc::new(b.build())
-}
-
-/// `service.worker.run` panics the first job: the query fails with
-/// `WorkerPanicked`, the pool restarts the dead worker, and the next
-/// query completes on the replacement.
-#[test]
-fn injected_worker_crash_fails_query_and_restarts_worker() {
-    let _chaos = ChaosScript::new()
-        .on(
-            "service.worker.run",
-            Trigger::Nth(1),
-            Action::Panic("injected worker crash"),
-        )
-        .install();
-    let svc = Service::new(ServiceConfig {
-        workers: 1,
-        queue_capacity: 8,
-        plan_cache_capacity: 4,
-        ..ServiceConfig::default()
-    });
-    svc.register_graph("k5", k5());
-
-    // `.with_durable(false)` pins the legacy single-shot path: on the
-    // durable path this same fault point fires per shard and the panic
-    // would be recovered instead of failing the query.
-    let out = svc
-        .submit(QueryRequest::new("k5", Pattern::clique(3)).with_durable(false))
-        .unwrap()
-        .wait();
-    assert!(matches!(out.result, Err(EngineError::WorkerPanicked)));
-    assert_eq!(fault::injections("service.worker.run"), 1);
-
-    // The sole worker was replaced: the next query still runs, on an
-    // unscripted pass through the same fault point.
-    let out = svc
-        .submit(QueryRequest::new("k5", Pattern::clique(3)).with_durable(false))
-        .unwrap()
-        .wait();
-    assert_eq!(out.result.unwrap().matches, 10);
-    assert!(fault::hits("service.worker.run") >= 2);
-
-    let m = svc.metrics();
-    assert_eq!(m.worker_panics, 1);
-    assert_eq!(m.workers_restarted, 1);
-    assert_eq!(m.failed, 1);
-    assert_eq!(m.completed, 1);
-    svc.shutdown();
-}
-
-/// A crash storm that outlives the restart budget: every scripted job
-/// dies, restarts stop at the budget, and the pool still serves the
-/// first unscripted query — it never shrinks to zero workers.
-#[test]
-fn crash_storm_exhausts_restart_budget_without_losing_the_pool() {
-    let _chaos = ChaosScript::new()
-        .on(
-            "service.worker.run",
-            Trigger::FirstN(3),
-            Action::Panic("injected crash storm"),
-        )
-        .install();
-    let svc = Service::new(ServiceConfig {
-        workers: 1,
-        queue_capacity: 8,
-        plan_cache_capacity: 4,
-        worker_restart_limit: 2,
-        ..ServiceConfig::default()
-    });
-    svc.register_graph("k5", k5());
-
-    for i in 0..3 {
-        let out = svc
-            .submit(QueryRequest::new("k5", Pattern::clique(3)).with_durable(false))
-            .unwrap()
-            .wait();
-        assert!(
-            matches!(out.result, Err(EngineError::WorkerPanicked)),
-            "storm job {i} must die"
-        );
-    }
-    // Third panic found the budget spent: no third restart, but the
-    // surviving thread keeps draining the queue.
-    let out = svc
-        .submit(QueryRequest::new("k5", Pattern::clique(4)).with_durable(false))
-        .unwrap()
-        .wait();
-    assert_eq!(out.result.unwrap().matches, 5);
-
-    let m = svc.metrics();
-    assert_eq!(m.worker_panics, 3);
-    assert_eq!(m.workers_restarted, 2);
-    assert_eq!(m.failed, 3);
-    assert_eq!(m.completed, 1);
-    let s = m.summary();
-    assert!(
-        s.contains("3 worker panics") && s.contains("2 workers restarted"),
-        "summary missing fault counters:\n{s}"
-    );
-    svc.shutdown();
 }
 
 /// `service.governor.pressure` forces the governor to see phantom
@@ -237,9 +138,7 @@ fn breaker_half_open_bad_probe_reopens_then_recovers() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let probe = loop {
         match svc.submit(
-            QueryRequest::new("k5", Pattern::clique(3))
-                .with_deadline(Duration::from_millis(20))
-                .with_durable(false),
+            QueryRequest::new("k5", Pattern::clique(3)).with_deadline(Duration::from_millis(20)),
         ) {
             Ok(h) => break h,
             Err(Rejected::BrownedOut) if Instant::now() < deadline => {

@@ -49,8 +49,8 @@ fn patterns() -> Vec<(&'static str, Pattern)> {
 }
 
 /// The headline acceptance test: a worker killed mid-query via the
-/// `service.worker.run` fault point. On the durable path the panic
-/// costs one shard, not the query — the lease fails over, the shard
+/// `service.worker.run` fault point. The panic costs one shard, not
+/// the query — the lease fails over, the shard
 /// re-executes, and the final count is identical to a fault-free run.
 #[test]
 fn killed_worker_mid_query_completes_with_the_exact_count() {
@@ -109,7 +109,6 @@ fn worker_rebuilds_its_device_after_a_mid_shard_warp_panic() {
     let g = Arc::new(barabasi_albert(300, 5, 7));
     let svc = durable_service(DurableConfig {
         shard_edges: 32,
-        workers: 1,
         ..DurableConfig::default()
     });
     svc.register_graph("ba", g.clone());
@@ -212,7 +211,6 @@ fn seeded_kill_stall_schedules_preserve_counts_across_resume() {
                 lease_timeout: Duration::from_millis(10),
                 watchdog_interval: Duration::from_millis(1),
                 max_task_epochs: 64,
-                ..DurableConfig::default()
             });
             svc.register_graph("ba", g.clone());
             let want = reference_count(&g, &QueryPlan::build_with(&pattern, cfg.plan));

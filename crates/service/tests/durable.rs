@@ -197,8 +197,8 @@ fn completed_query_snapshot_resumes_to_the_same_count() {
     assert_eq!(resumed.result.unwrap().matches, want);
 }
 
-/// A client sink that panics is a recovered per-shard fault on the
-/// durable path: the query completes with the exact count, the lease is
+/// A client sink that panics is a recovered per-shard fault: the query
+/// completes with the exact count, the lease is
 /// reclaimed, and no service worker dies.
 struct PanicOnceSink(AtomicBool);
 
@@ -243,7 +243,6 @@ fn shards_after_a_panicked_shard_on_one_worker_count_exactly() {
         plan_cache_capacity: 16,
         durability: DurableConfig {
             shard_edges: 16,
-            workers: 1,
             ..DurableConfig::default()
         },
         ..ServiceConfig::default()

@@ -300,12 +300,10 @@ fn deadline_expired_in_queue_never_builds_a_plan() {
     let release = Arc::new((Mutex::new(false), Condvar::new()));
     let blocker = svc
         .submit(
-            QueryRequest::new("k5", Pattern::clique(3))
-                .with_sink(Arc::new(BlockingSink {
-                    entered: entered.clone(),
-                    release: release.clone(),
-                }))
-                .with_durable(false),
+            QueryRequest::new("k5", Pattern::clique(3)).with_sink(Arc::new(BlockingSink {
+                entered: entered.clone(),
+                release: release.clone(),
+            })),
         )
         .unwrap();
     wait_flag(&entered);
@@ -383,12 +381,10 @@ fn sojourn_shedding_drops_newest_low_priority_work() {
     let release = Arc::new((Mutex::new(false), Condvar::new()));
     let blocker = svc
         .submit(
-            QueryRequest::new("k5", Pattern::clique(3))
-                .with_sink(Arc::new(BlockingSink {
-                    entered: entered.clone(),
-                    release: release.clone(),
-                }))
-                .with_durable(false),
+            QueryRequest::new("k5", Pattern::clique(3)).with_sink(Arc::new(BlockingSink {
+                entered: entered.clone(),
+                release: release.clone(),
+            })),
         )
         .unwrap();
     wait_flag(&entered);

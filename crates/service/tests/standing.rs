@@ -194,9 +194,7 @@ fn resume_is_fenced_to_the_snapshot_graph_version() {
     let svc = small_service();
     svc.register_graph("g", Arc::new(barabasi_albert(200, 4, 3)));
     let pattern = Pattern::clique(3);
-    let h = svc
-        .submit(QueryRequest::new("g", pattern.clone()).with_durable(true))
-        .unwrap();
+    let h = svc.submit(QueryRequest::new("g", pattern.clone())).unwrap();
     let id = h.id();
     let want = h.wait().result.unwrap().matches;
     let bytes = svc.snapshot(id).unwrap();
