@@ -31,6 +31,23 @@ echo "==> one-core pass (core + service + cluster at one warp)"
 # run their granted shards on the same durable shard workers.
 taskset -c 0 timeout "$TEST_TIMEOUT" cargo test -p tdfs-core -p tdfs-service -p tdfs-cluster -q
 
+echo "==> scalar fallback pass (TDFS_NO_SIMD=1: gpu + core on the scalar lanes)"
+# Every x86-64 build compiles the AVX2 lane kernels and picks them at run
+# time, so on an AVX2 host the steps above run the vector lanes, and the
+# differential suites compare them against the scalar oracle. This pass
+# re-runs the kernel and engine tests with TDFS_NO_SIMD=1, which forces
+# the scalar fallback that a host without AVX2 takes.
+TDFS_NO_SIMD=1 timeout "$TEST_TIMEOUT" cargo test -p tdfs-gpu -p tdfs-core -q
+# Speedup guard (BENCH_intersect.json, asserts the AVX2 lanes hold a
+# >= 1.5x geomean over the scalar oracle on the 1:1 and 1:32 shapes and
+# never regress modeled bytes-touched); timing-sensitive, so opt-in — and
+# it only bites on an AVX2 host without TDFS_NO_SIMD.
+if [[ "${TDFS_BENCH_GUARD:-0}" == "1" ]]; then
+    cargo bench -p tdfs-bench --bench micro
+else
+    echo "==> simd bench guard: skipped (set TDFS_BENCH_GUARD=1 to run)"
+fi
+
 echo "==> chaos tests (fault injection + deterministic concurrency kit)"
 # The chaos feature swaps the fault-point macros from compile-time no-ops
 # to the scripted testkit registry; tier-1 tests above run without it, so
@@ -147,27 +164,6 @@ if [[ "${TDFS_BENCH_GUARD:-0}" == "1" ]]; then
     cargo bench -p tdfs-bench --bench cluster
 else
     echo "==> cluster bench guard: skipped (set TDFS_BENCH_GUARD=1 to run)"
-fi
-
-echo "==> simd job (AVX2 lane kernels, scalar oracle differential)"
-# The simd feature compiles the AVX2 lane kernels next to the scalar
-# ones; runtime dispatch picks per-process. Tier-1 tests above run
-# without it, so this job cannot change their outcome. The same test
-# binaries then re-run with TDFS_NO_SIMD=1, which forces the scalar
-# fallback inside a feature-compiled build — proving the dispatch seam
-# itself, not just the two kernel sets.
-cargo clippy --workspace --all-targets --features simd -- -D warnings
-timeout "$TEST_TIMEOUT" cargo test --workspace --features simd -q
-echo "==> simd job: scalar fallback (TDFS_NO_SIMD=1 on the simd build)"
-TDFS_NO_SIMD=1 timeout "$TEST_TIMEOUT" cargo test -p tdfs-gpu -p tdfs-core --features simd -q
-# Speedup guard (BENCH_intersect.json, asserts the vector lanes hold a
-# >= 1.5x geomean over scalar on the 1:1 and 1:32 shapes and never
-# regress modeled bytes-touched); timing-sensitive, so opt-in — and it
-# only bites when the feature is compiled in and AVX2 is present.
-if [[ "${TDFS_BENCH_GUARD:-0}" == "1" ]]; then
-    TDFS_BENCH_GUARD=1 cargo bench -p tdfs-bench --features simd --bench micro
-else
-    echo "==> simd bench guard: skipped (set TDFS_BENCH_GUARD=1 to run)"
 fi
 
 # Nightly-only ThreadSanitizer pass over the lock-free queue and the page

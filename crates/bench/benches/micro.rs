@@ -99,7 +99,7 @@ fn bench_adaptive_intersection(report: &mut JsonReport) {
     // selection has to beat on the skewed shapes.
     //
     // Each cell reports three axes: `_ns` (scalar lanes, the oracle),
-    // `_simd_ns` (AVX2 lanes, when compiled + available), and
+    // `_simd_ns` (AVX2 lanes, when `simd::available()`), and
     // `_bytes_per_match` (the deterministic memory-traffic model, which
     // must be identical on both paths — asserted below).
     let simd_on = tdfs_gpu::simd::available();
@@ -129,7 +129,7 @@ fn bench_adaptive_intersection(report: &mut JsonReport) {
                     n
                 };
                 // Scalar lanes (pinned off so `_ns` stays the oracle
-                // baseline whatever features the binary carries).
+                // baseline whatever the host supports).
                 let mut w = WarpOps::with_simd(false);
                 let median = bench_median(&format!("intersect/{ratio}/{shape}/{kname}"), || {
                     run(&mut w)
@@ -177,8 +177,7 @@ fn bench_adaptive_intersection(report: &mut JsonReport) {
         // CI guard: the vector lanes must hold a ≥ 1.5× geomean over
         // the scalar oracle on the 1:1 and 1:32 adaptive cells (both
         // shapes). Enforced only under TDFS_BENCH_GUARD=1, like the
-        // other bench guards, and only when the feature is compiled in
-        // (`simd_on` implies it).
+        // other bench guards, and only when the AVX2 lanes are available.
         let geomean = (guard_speedups.iter().map(|s| s.ln()).sum::<f64>()
             / guard_speedups.len() as f64)
             .exp();

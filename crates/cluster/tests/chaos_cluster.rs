@@ -47,6 +47,38 @@ fn node_config(coord: &Coordinator, node_id: u64, dir: &std::path::Path) -> Node
     }
 }
 
+/// The survivor's pause before each ack while a kill test waits for
+/// its replacement node.
+const SURVIVOR_ACK_DELAY_MS: u64 = 40;
+
+/// Holds a kill test's query open until the replacement node has
+/// joined: the survivor (node 2, spawned with [`survivor_config`]) takes
+/// one shard at a time and sleeps [`SURVIVOR_ACK_DELAY_MS`] before each
+/// ack. Every lease it holds is still acked well inside the 120 ms lease
+/// timeout, but alone it needs about 30 shards x 40 ms to drain the
+/// query, far longer than the replacement takes to receive the graph
+/// and poll again. Without the hold a fast survivor can finish first,
+/// and no snapshot ships.
+fn hold_survivor(script: ChaosScript) -> ChaosScript {
+    script.on_keyed(
+        "cluster.node.ack",
+        2,
+        Trigger::Always,
+        Action::Delay {
+            millis: SURVIVOR_ACK_DELAY_MS,
+        },
+    )
+}
+
+/// Node 2 for a kill test: one shard in flight, so each ack waits out
+/// only its own hold, never a queue of them.
+fn survivor_config(coord: &Coordinator, dir: &std::path::Path) -> NodeConfig {
+    NodeConfig {
+        poll_capacity: 1,
+        ..node_config(coord, 2, dir)
+    }
+}
+
 fn engines() -> Vec<(&'static str, MatcherConfig)> {
     vec![
         ("tdfs", MatcherConfig::tdfs().with_warps(2)),
@@ -79,19 +111,24 @@ fn wait_for_death(node: &NodeHandle) {
 /// The headline failover test: node 1 is killed (`Action::Kill` at the
 /// `cluster.node.ack` point — it dies *holding a computed result*, the
 /// worst moment). Its leases expire, the watchdog reaps them, a
-/// replacement node joins mid-query via a shipped snapshot, and the
-/// final count is exact.
+/// replacement node joins mid-query via a shipped snapshot (the
+/// survivor is held, see [`hold_survivor`]), and the final count is
+/// exact.
 #[test]
 fn killed_node_mid_query_fails_over_via_snapshot_with_the_exact_count() {
-    let _chaos = ChaosScript::new()
-        .on_keyed("cluster.node.ack", 1, Trigger::Nth(1), Action::Kill)
-        .install();
+    let _chaos = hold_survivor(ChaosScript::new().on_keyed(
+        "cluster.node.ack",
+        1,
+        Trigger::Nth(1),
+        Action::Kill,
+    ))
+    .install();
     let dir = tempdir("kill");
     let coord = Coordinator::bind("127.0.0.1:0", chaos_config()).unwrap();
     let g = Arc::new(barabasi_albert(250, 4, 21));
     coord.register_graph("ba", 0, g.clone()).unwrap();
     let mut doomed = NodeHandle::spawn(node_config(&coord, 1, &dir));
-    let survivor = NodeHandle::spawn(node_config(&coord, 2, &dir));
+    let survivor = NodeHandle::spawn(survivor_config(&coord, &dir));
 
     let pattern = Pattern::clique(3);
     let cfg = MatcherConfig::tdfs().with_warps(2);
@@ -188,10 +225,12 @@ fn seeded_chaos_sweep_every_engine_and_pattern_kill_and_partition() {
                     "kill" => Action::Kill,
                     _ => Action::Delay { millis: 900 },
                 };
-                let _chaos = ChaosScript::new()
-                    .on_keyed("cluster.node.ack", 1, Trigger::Nth(1), action)
-                    .seed(seed)
-                    .install();
+                let mut script =
+                    ChaosScript::new().on_keyed("cluster.node.ack", 1, Trigger::Nth(1), action);
+                if mode == "kill" {
+                    script = hold_survivor(script);
+                }
+                let _chaos = script.seed(seed).install();
                 let got = run_case(&g, mode, pattern.clone(), cfg.clone(), &dir);
                 assert_eq!(
                     got, want,
@@ -203,8 +242,8 @@ fn seeded_chaos_sweep_every_engine_and_pattern_kill_and_partition() {
 }
 
 /// One sweep case: fresh coordinator, a doomed node (id 1) and a
-/// survivor (id 2); in kill mode a replacement (id 3) boots after the
-/// death and must join via snapshot shipping.
+/// survivor (id 2); in kill mode the survivor is held and a replacement
+/// (id 3) boots after the death and must join via snapshot shipping.
 fn run_case(
     g: &Arc<CsrGraph>,
     mode: &str,
@@ -215,7 +254,11 @@ fn run_case(
     let coord = Coordinator::bind("127.0.0.1:0", chaos_config()).unwrap();
     coord.register_graph("ba", 0, Arc::clone(g)).unwrap();
     let mut doomed = NodeHandle::spawn(node_config(&coord, 1, dir));
-    let _survivor = NodeHandle::spawn(node_config(&coord, 2, dir));
+    let _survivor = NodeHandle::spawn(if mode == "kill" {
+        survivor_config(&coord, dir)
+    } else {
+        node_config(&coord, 2, dir)
+    });
     let handle = coord.start_query("ba", pattern, cfg).unwrap();
     if mode == "kill" {
         wait_for_death(&doomed);

@@ -137,9 +137,9 @@ pub struct MatcherConfig {
     /// pressure and can bound it. `None` = standalone accounting.
     /// Compared by identity, like [`cancel`](Self::cancel).
     pub memory_budget: Option<MemoryBudget>,
-    /// Run intersections on the AVX2 vector lane kernels when the
-    /// binary was built with the `simd` feature and the host supports
-    /// them (`tdfs_gpu::simd::available`). The kernels are bit-identical
+    /// Run intersections on the AVX2 vector lane kernels when the host
+    /// supports them (`tdfs_gpu::simd::available`, decided at run time
+    /// on every x86-64 build). The kernels are bit-identical
     /// to the scalar lanes in output *and* stats, so this knob trades
     /// nothing but speed; `false` pins the scalar oracle path
     /// (A-B benchmarking, differential tests).

@@ -754,7 +754,7 @@ where
             // Locality: while v's subtree is processed, pull the next
             // sibling candidate's adjacency row toward the cache — it
             // is the very next Eq. (1) operand this level will read.
-            // No-op without the `simd` feature.
+            // No-op off x86-64.
             if stack.iters[level] < stack.levels[level].len() {
                 tdfs_gpu::simd::prefetch_read(
                     shared

@@ -434,7 +434,7 @@ fn step<V: GraphView>(
         }
         s.m[level] = v;
         // Locality: warm the next sibling candidate's adjacency row
-        // while v's subtree runs (no-op without the `simd` feature).
+        // while v's subtree runs (no-op off x86-64).
         if s.iters[level] < s.levels[level].len() {
             tdfs_gpu::simd::prefetch_read(g.neighbors(s.levels[level].get(s.iters[level])));
         }

@@ -344,9 +344,9 @@ fn simd_flag_preserves_counts_and_warp_stats_across_engines() {
     // All five engine presets must produce identical match counts AND
     // identical warp counters with the vector lanes on (default) and
     // pinned off — with leaf fusion in both positions, since the fused
-    // leaf is the heaviest intersect_filtered user. Without the `simd`
-    // feature both runs take the scalar path and the comparison is
-    // trivially green, so this test runs in every CI job.
+    // leaf is the heaviest intersect_filtered user. Only on a non-AVX2
+    // host or under `TDFS_NO_SIMD` do both runs take the scalar path,
+    // where the comparison is trivially green.
     //
     // Timeout decomposition fires on wall-clock time and re-expands
     // tasks (extra intersections), which would make the stats

@@ -18,8 +18,8 @@
 //!   ballot compaction, per-warp statistics;
 //! - [`device`] — device configuration, chunked edge cursor, multi-device
 //!   round-robin partitioning;
-//! - [`simd`] — host AVX2 vector lanes for the warp kernels (behind the
-//!   `simd` feature), software prefetch, dispatch telemetry;
+//! - [`simd`] — host AVX2 vector lanes for the warp kernels (chosen at
+//!   run time), software prefetch, dispatch telemetry;
 //! - [`clock`] — the timeout clock (real or mocked for tests).
 
 pub mod clock;

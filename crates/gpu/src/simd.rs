@@ -3,15 +3,14 @@
 //!
 //! The scalar kernels in [`crate::warp`] model a warp's 32 lanes with a
 //! loop; this module executes the same lane semantics with real AVX2
-//! vector instructions, 8 × u32 per step, behind the `simd` cargo
-//! feature. Dispatch is strictly additive:
+//! vector instructions, 8 × u32 per step. The vector code compiles on
+//! every x86-64 build; which path runs is decided at run time only:
 //!
-//! - compile-time: without the `simd` feature nothing here emits vector
-//!   code and [`available`] is a constant `false`;
-//! - run-time: with the feature on, [`available`] checks AVX2 once with
+//! - per process: [`available`] checks AVX2 once with
 //!   `is_x86_feature_detected!` (and honors a `TDFS_NO_SIMD` environment
-//!   override so the scalar fallback stays testable on AVX2 hosts);
-//! - per-warp: [`crate::warp::WarpOps::set_simd`] can pin a single warp
+//!   override so the scalar fallback stays testable on AVX2 hosts). Off
+//!   x86-64 it is a constant `false` and nothing here emits vector code;
+//! - per warp: [`crate::warp::WarpOps::set_simd`] can pin a single warp
 //!   to the scalar path, which is how the differential suite runs both
 //!   paths in one process and asserts bit-identical `WarpStats`.
 //!
@@ -66,12 +65,11 @@ pub fn dispatch_counts() -> DispatchCounts {
     }
 }
 
-/// Whether the vector kernels can run: `simd` feature compiled in, the
-/// host supports AVX2, and `TDFS_NO_SIMD` is not set. Checked once and
-/// cached.
+/// Whether the vector kernels can run: the host is x86-64 with AVX2 and
+/// `TDFS_NO_SIMD` is not set. Checked once and cached.
 #[inline]
 pub fn available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         use std::sync::OnceLock;
         static AVAILABLE: OnceLock<bool> = OnceLock::new();
@@ -79,7 +77,7 @@ pub fn available() -> bool {
             std::env::var_os("TDFS_NO_SIMD").is_none() && is_x86_feature_detected!("avx2")
         })
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
@@ -88,12 +86,11 @@ pub fn available() -> bool {
 /// Software prefetch of an adjacency/candidate row the caller is about
 /// to intersect — the DFS engines issue this for the *next* candidate's
 /// row while the current one's subtree is processed, hiding the random
-/// CSR row access behind useful work. Compiles to nothing without the
-/// `simd` feature; a pure hint otherwise (no effect on results or
-/// stats).
+/// CSR row access behind useful work. Compiles to nothing off x86-64;
+/// a pure hint otherwise (no effect on results or stats).
 #[inline]
 pub fn prefetch_read(row: &[u32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         if !row.is_empty() {
             // `_mm_prefetch` is baseline SSE on x86_64 — no runtime
@@ -109,13 +106,13 @@ pub fn prefetch_read(row: &[u32]) {
             }
         }
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = row;
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub(crate) mod lanes {
     //! The AVX2 kernels. Operand contract (same as the scalar kernels):
     //! `B` strictly increasing (a set); batches of `A` ascending. Under
@@ -380,9 +377,15 @@ mod tests {
         prefetch_read(&long);
     }
 
-    #[cfg(not(feature = "simd"))]
+    /// Every build dispatches on the host alone: an AVX2 host takes the
+    /// vector lanes unless `TDFS_NO_SIMD` is set, and any other host
+    /// stays scalar.
     #[test]
-    fn unavailable_without_feature() {
-        assert!(!available());
+    fn available_follows_the_host() {
+        #[cfg(target_arch = "x86_64")]
+        let expect = std::env::var_os("TDFS_NO_SIMD").is_none() && is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let expect = false;
+        assert_eq!(available(), expect);
     }
 }

@@ -26,10 +26,11 @@
 //!
 //! Each kernel has two implementations sharing one batch driver
 //! ([`batch_loop`]): the scalar lanes in this module (the differential
-//! oracle) and the AVX2 vector lanes in [`crate::simd`] (behind the
-//! `simd` feature, selected per warp at runtime). Both charge the same
-//! deterministic memory-traffic model ([`WarpStats::bytes_touched`]),
-//! so stats are bit-identical across paths.
+//! oracle) and the AVX2 vector lanes in [`crate::simd`] (compiled on
+//! every x86-64 build, selected per warp at run time). Both charge the
+//! same deterministic memory-traffic model
+//! ([`WarpStats::bytes_touched`]), so stats are bit-identical across
+//! paths.
 //!
 //! The kernels are agnostic to where their operands come from: any
 //! sorted `&[u32]` slice works, so neighbor lists handed out by a
@@ -378,7 +379,7 @@ impl WarpOps {
     }
 
     /// Re-pins the kernel path (ANDed with [`crate::simd::available`],
-    /// so enabling is a no-op without the feature/hardware).
+    /// so enabling is a no-op on a host without AVX2).
     pub fn set_simd(&mut self, enabled: bool) {
         self.flush_dispatch();
         self.simd = enabled && crate::simd::available();
@@ -479,7 +480,7 @@ impl WarpOps {
         }
         self.charge_kernel(kind);
         self.dispatched += 1;
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if self.simd {
             let mut probe = crate::simd::lanes::SimdProbe::new(kind, b);
             batch_loop(
@@ -743,7 +744,6 @@ mod tests {
         assert!(!w.simd_active());
     }
 
-    #[cfg(feature = "simd")]
     #[test]
     fn simd_and_scalar_paths_agree_exactly() {
         if !crate::simd::available() {

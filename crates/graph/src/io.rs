@@ -131,97 +131,6 @@ pub fn read_labels<R: BufRead>(g: CsrGraph, reader: R) -> Result<CsrGraph, IoErr
     Ok(g.with_labels(labels))
 }
 
-/// Magic prefix of the binary CSR snapshot format.
-const BINARY_MAGIC: &[u8; 8] = b"TDFSCSR1";
-
-/// Writes the graph as a binary CSR snapshot — much faster to reload
-/// than re-parsing an edge list for repeated experiments.
-///
-/// Layout (little-endian): magic, |V| (u64), arcs (u64), labeled flag
-/// (u64), `row_ptr` as u64s, `col_idx` as u32s, labels as u32s (when
-/// labeled).
-pub fn write_binary<W: Write>(g: &CsrGraph, mut w: W) -> io::Result<()> {
-    let (row_ptr, col_idx, labels) = g.parts();
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
-    w.write_all(&(col_idx.len() as u64).to_le_bytes())?;
-    w.write_all(&(u64::from(!labels.is_empty())).to_le_bytes())?;
-    for &p in row_ptr {
-        w.write_all(&(p as u64).to_le_bytes())?;
-    }
-    for &v in col_idx {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    for &l in labels {
-        w.write_all(&l.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// Writes a binary CSR snapshot to a file path.
-pub fn write_binary_file(g: &CsrGraph, path: impl AsRef<Path>) -> io::Result<()> {
-    write_binary(g, BufWriter::new(File::create(path)?))
-}
-
-/// Reads a binary CSR snapshot produced by [`write_binary`].
-pub fn read_binary<R: io::Read>(mut r: R) -> Result<CsrGraph, IoError> {
-    fn bad(content: &str) -> IoError {
-        IoError::Parse {
-            line: 0,
-            content: content.to_owned(),
-        }
-    }
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(bad("bad magic: not a tdfs binary CSR snapshot"));
-    }
-    let mut u64buf = [0u8; 8];
-    let mut read_u64 = |r: &mut R| -> Result<u64, IoError> {
-        r.read_exact(&mut u64buf)?;
-        Ok(u64::from_le_bytes(u64buf))
-    };
-    let n = read_u64(&mut r)? as usize;
-    let arcs = read_u64(&mut r)? as usize;
-    let labeled = read_u64(&mut r)? != 0;
-    // Sanity bounds before allocating.
-    if n > u32::MAX as usize || arcs > (u32::MAX as usize) * 2 {
-        return Err(bad("snapshot header sizes out of range"));
-    }
-    // Cap the upfront reservation: a corrupted header claiming billions
-    // of entries must not allocate gigabytes before the (short) payload
-    // reads fail. Growth past the cap goes through normal doubling.
-    const RESERVE_CAP: usize = 1 << 20;
-    let mut row_ptr = Vec::with_capacity((n + 1).min(RESERVE_CAP));
-    for _ in 0..=n {
-        let mut b = [0u8; 8];
-        r.read_exact(&mut b)?;
-        row_ptr.push(u64::from_le_bytes(b) as usize);
-    }
-    let mut col_idx = Vec::with_capacity(arcs.min(RESERVE_CAP));
-    let mut b4 = [0u8; 4];
-    for _ in 0..arcs {
-        r.read_exact(&mut b4)?;
-        col_idx.push(u32::from_le_bytes(b4));
-    }
-    let mut labels = Vec::new();
-    if labeled {
-        labels.reserve(n.min(RESERVE_CAP));
-        for _ in 0..n {
-            r.read_exact(&mut b4)?;
-            labels.push(u32::from_le_bytes(b4));
-        }
-    }
-    // Full invariant validation (offsets, sortedness, range, symmetry,
-    // labels) lives in one place for every untrusted source.
-    Ok(CsrGraph::try_from_parts(row_ptr, col_idx, labels)?)
-}
-
-/// Reads a binary CSR snapshot from a file path.
-pub fn read_binary_file(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
-    read_binary(BufReader::new(File::open(path)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,72 +176,5 @@ mod tests {
     fn labels_reject_out_of_range_vertex() {
         let g = GraphBuilder::new().edges([(0, 1)]).build();
         assert!(read_labels(g, Cursor::new("9 1\n")).is_err());
-    }
-
-    #[test]
-    fn binary_roundtrip_unlabeled() {
-        let g = GraphBuilder::new()
-            .num_vertices(10)
-            .edges([(0, 1), (1, 2), (0, 2), (2, 3), (7, 9)])
-            .build();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(Cursor::new(buf)).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn binary_roundtrip_labeled() {
-        let g = GraphBuilder::new()
-            .edges([(0, 1), (1, 2)])
-            .labels(vec![2, 0, 1])
-            .build();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(Cursor::new(buf)).unwrap();
-        assert_eq!(g, g2);
-        assert_eq!(g2.label(0), 2);
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic() {
-        let err = read_binary(Cursor::new(b"NOTMAGIC".to_vec())).unwrap_err();
-        assert!(matches!(err, IoError::Parse { .. }));
-    }
-
-    #[test]
-    fn binary_rejects_truncation() {
-        let g = GraphBuilder::new().edges([(0, 1), (1, 2)]).build();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        for cut in [4usize, 12, buf.len() - 3] {
-            assert!(
-                read_binary(Cursor::new(buf[..cut].to_vec())).is_err(),
-                "truncation at {cut} must fail"
-            );
-        }
-    }
-
-    #[test]
-    fn binary_rejects_corrupted_adjacency() {
-        let g = GraphBuilder::new().edges([(0, 1), (1, 2)]).build();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        // Flip a col_idx entry to an out-of-range vertex.
-        let col_start = 8 + 3 * 8 + 4 * 8; // magic + header + row_ptr(4 entries)
-        buf[col_start..col_start + 4].copy_from_slice(&99u32.to_le_bytes());
-        assert!(read_binary(Cursor::new(buf)).is_err());
-    }
-
-    #[test]
-    fn binary_file_roundtrip() {
-        // Hermetic tempdir: a fixed path here raced concurrent test
-        // processes (the snapshot flake the storage PR audit found).
-        let dir = tdfs_testkit::TempDir::new("tdfs-io-roundtrip").unwrap();
-        let g = GraphBuilder::new().edges([(0, 1), (1, 2), (0, 2)]).build();
-        let path = dir.join("snapshot.bin");
-        write_binary_file(&g, &path).unwrap();
-        let g2 = read_binary_file(&path).unwrap();
-        assert_eq!(g, g2);
     }
 }

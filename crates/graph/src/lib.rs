@@ -18,8 +18,6 @@
 //!   paper's Table I shape targets;
 //! - [`intersect`] — scalar sorted-set intersection kernels that serve as
 //!   the ground truth for the warp-level kernels in `tdfs-gpu`;
-//! - [`transform`] — induced subgraphs, connected components and
-//!   degeneracy ordering (standard preprocessing around a matcher);
 //! - [`rng`] — the self-contained deterministic PRNG behind the
 //!   generators (the workspace builds offline with no external crates);
 //! - [`view`] — the [`GraphView`] trait the matching engines are generic
@@ -46,7 +44,6 @@ pub mod io;
 pub mod mapped;
 pub mod rng;
 pub mod stats;
-pub mod transform;
 pub mod vfs;
 pub mod view;
 

@@ -5,7 +5,7 @@
 use std::io::Cursor;
 
 use tdfs_graph::csr::GraphError;
-use tdfs_graph::io::{read_binary, read_edge_list, read_labels, write_binary, IoError};
+use tdfs_graph::io::{read_edge_list, read_labels, IoError};
 use tdfs_graph::rng::Rng;
 use tdfs_graph::{CsrGraph, GraphBuilder, MAX_VERTEX_ID};
 
@@ -132,29 +132,6 @@ fn try_from_parts_rejects_random_corruption() {
         rejected.iter().all(|&c| c > 0),
         "every corruption class exercised: {rejected:?}"
     );
-}
-
-#[test]
-fn binary_loader_survives_random_mutation() {
-    for case in 0..CASES * 2 {
-        let mut rng = Rng::seed_from_u64(0xB17E + case);
-        let g = random_graph(&mut rng);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        // Either truncate or flip a handful of bytes.
-        if rng.gen_bool() {
-            buf.truncate(rng.gen_range(0..buf.len()));
-        } else {
-            for _ in 0..rng.gen_range(1..8) {
-                let i = rng.gen_range(0..buf.len());
-                buf[i] ^= rng.next_u32() as u8 | 1;
-            }
-        }
-        // Must never panic; a surviving graph must still be valid.
-        if let Ok(g2) = read_binary(Cursor::new(buf)) {
-            assert_valid(&g2);
-        }
-    }
 }
 
 #[test]

@@ -725,38 +725,6 @@ struct QueueState {
     shutting_down: bool,
 }
 
-#[derive(Default)]
-struct MetricCounters {
-    admitted: u64,
-    rejected_queue_full: u64,
-    rejected_unknown_graph: u64,
-    rejected_shutdown: u64,
-    rejected_unmeetable: u64,
-    rejected_brownout: u64,
-    completed: u64,
-    cancelled: u64,
-    deadline_expired: u64,
-    failed: u64,
-    queries_shed: u64,
-    partials_served: u64,
-    suspends: u64,
-    breaker_state_changes: u64,
-    admission_retries: u64,
-    worker_panics: u64,
-    durable_queries: u64,
-    snapshots_taken: u64,
-    snapshot_bytes: u64,
-    resumes: u64,
-    batches_applied: u64,
-    standing_notifications: u64,
-    notify_retries: u64,
-    maintenance_jobs: u64,
-    maintenance_inline_fallbacks: u64,
-    engine: RunStats,
-    total_latency: Duration,
-    max_latency: Duration,
-}
-
 /// Live and recently-completed durable query states. Lease counters of
 /// evicted states fold into `base` so service-lifetime metrics survive
 /// the bounded retention window.
@@ -772,7 +740,11 @@ struct Inner {
     cache: PlanCache,
     queue: Mutex<QueueState>,
     available: Condvar,
-    metrics: Mutex<MetricCounters>,
+    /// The service's own counters, bumped in place. The live fields
+    /// (queue depth, lease totals, breaker state, budget gauges,
+    /// dispatch counts, plan cache) stay at their defaults here and are
+    /// filled in by [`Service::metrics`].
+    metrics: Mutex<ServiceMetrics>,
     next_id: Mutex<u64>,
     queue_capacity: usize,
     default_deadline: Option<Duration>,
@@ -854,7 +826,7 @@ fn lock_durable(inner: &Inner) -> std::sync::MutexGuard<'_, DurableRegistry> {
 /// Metrics lock that survives worker panics: the counters are
 /// independent `u64`s with no cross-field invariant, so a lock poisoned
 /// mid-update is still safe to read and bump.
-fn lock_metrics(inner: &Inner) -> std::sync::MutexGuard<'_, MetricCounters> {
+fn lock_metrics(inner: &Inner) -> std::sync::MutexGuard<'_, ServiceMetrics> {
     inner
         .metrics
         .lock()
@@ -932,7 +904,7 @@ impl Service {
                 shutting_down: false,
             }),
             available: Condvar::new(),
-            metrics: Mutex::new(MetricCounters::default()),
+            metrics: Mutex::new(ServiceMetrics::default()),
             next_id: Mutex::new(0),
             queue_capacity: config.queue_capacity.max(1),
             default_deadline: config.default_deadline,
@@ -1797,10 +1769,12 @@ impl Service {
     /// internally consistent: invariants like *every finished query is
     /// counted exactly once across completed / deadline-expired /
     /// failed / shed* hold in every snapshot, even taken mid-storm.
-    /// Queue depth, lease counters, breaker state and budget gauges are
-    /// instantaneous reads of live structures.
+    /// Queue depth, lease counters, breaker state, budget gauges,
+    /// dispatch counts and plan-cache counters are instantaneous reads
+    /// of live structures, filled in after that acquisition.
     pub fn metrics(&self) -> ServiceMetrics {
-        let depth = self.inner.queue.lock().expect("queue poisoned").jobs.len();
+        let mut m = lock_metrics(&self.inner).clone();
+        m.queue_depth = self.inner.queue.lock().expect("queue poisoned").jobs.len();
         let leases = {
             let reg = lock_durable(&self.inner);
             let mut agg = reg.base;
@@ -1809,55 +1783,22 @@ impl Service {
             }
             agg
         };
-        let breaker_state = lock_breaker(&self.inner).state();
-        let dispatch = tdfs_gpu::simd::dispatch_counts();
-        let (in_use, peak, capacity) = self.inner.budget.as_ref().map_or((0, 0, 0), |b| {
-            (b.in_use_pages(), b.peak_pages(), b.capacity_pages())
-        });
-        let m = lock_metrics(&self.inner);
-        ServiceMetrics {
-            admitted: m.admitted,
-            rejected_queue_full: m.rejected_queue_full,
-            rejected_unknown_graph: m.rejected_unknown_graph,
-            rejected_shutdown: m.rejected_shutdown,
-            rejected_unmeetable: m.rejected_unmeetable,
-            rejected_brownout: m.rejected_brownout,
-            completed: m.completed,
-            cancelled: m.cancelled,
-            deadline_expired: m.deadline_expired,
-            failed: m.failed,
-            queries_shed: m.queries_shed,
-            partials_served: m.partials_served,
-            suspends: m.suspends,
-            breaker_state_changes: m.breaker_state_changes,
-            breaker_state,
-            budget_in_use_pages: in_use,
-            budget_peak_pages: peak,
-            budget_capacity_pages: capacity,
-            queue_depth: depth,
-            admission_retries: m.admission_retries,
-            worker_panics: m.worker_panics,
-            durable_queries: m.durable_queries,
-            leases_granted: leases.granted,
-            leases_reclaimed: leases.reclaimed,
-            leases_fenced: leases.fenced,
-            lease_affinity_hits: leases.affinity_hits,
-            simd_intersections: dispatch.simd,
-            scalar_intersections: dispatch.scalar,
-            tasks_acked: leases.acked,
-            snapshots_taken: m.snapshots_taken,
-            snapshot_bytes: m.snapshot_bytes,
-            resumes: m.resumes,
-            batches_applied: m.batches_applied,
-            standing_notifications: m.standing_notifications,
-            notify_retries: m.notify_retries,
-            maintenance_jobs: m.maintenance_jobs,
-            maintenance_inline_fallbacks: m.maintenance_inline_fallbacks,
-            engine: m.engine.clone(),
-            total_latency: m.total_latency,
-            max_latency: m.max_latency,
-            plan_cache: self.inner.cache.stats(),
+        m.leases_granted = leases.granted;
+        m.leases_reclaimed = leases.reclaimed;
+        m.leases_fenced = leases.fenced;
+        m.lease_affinity_hits = leases.affinity_hits;
+        m.tasks_acked = leases.acked;
+        m.breaker_state = lock_breaker(&self.inner).state();
+        if let Some(b) = &self.inner.budget {
+            m.budget_in_use_pages = b.in_use_pages();
+            m.budget_peak_pages = b.peak_pages();
+            m.budget_capacity_pages = b.capacity_pages();
         }
+        let dispatch = tdfs_gpu::simd::dispatch_counts();
+        m.simd_intersections = dispatch.simd;
+        m.scalar_intersections = dispatch.scalar;
+        m.plan_cache = self.inner.cache.stats();
+        m
     }
 
     /// Stops admitting work, drains the queue, and joins the workers.

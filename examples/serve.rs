@@ -125,8 +125,8 @@ fn main() {
     let m = svc.metrics();
     println!("\n-- service metrics --\n{}", m.summary());
     // The traffic/dispatch axes explicitly: modeled bytes the lane
-    // kernels touched, how often the AVX2 path was taken (zero without
-    // `--features simd` or on non-AVX2 hosts), and how many shard
+    // kernels touched, how often the AVX2 path was taken (zero on
+    // non-AVX2 hosts or under `TDFS_NO_SIMD`), and how many shard
     // leases landed on a worker already holding the shard's page.
     println!(
         "warp bytes touched: {} ({:.3} MB)",
