@@ -8,8 +8,8 @@ cd "$(dirname "$0")"
 # Every test step runs under a time limit, so a hang fails CI instead of
 # stalling it. The limit also covers compiling the step's test binaries:
 # from an empty target directory on a 2-core x86-64 host the slowest step,
-# `cargo test --workspace --features chaos`, took 135 s (the whole script
-# 511 s), so 900 s leaves over 6x headroom.
+# `cargo test --workspace --features chaos`, took 163 s (the whole script
+# 600 s), so 900 s leaves over 5x headroom.
 TEST_TIMEOUT=900
 
 echo "==> cargo fmt --check"

@@ -19,90 +19,55 @@ use std::time::Instant;
 use tdfs_graph::GraphView;
 use tdfs_query::plan::QueryPlan;
 
-use crate::candidates::{candidates_of_each, Workspace};
+use crate::candidates::{accept, walk, Workspace};
 use crate::config::MatcherConfig;
-use crate::engine::{edge_admitted, EngineError};
+use crate::engine::{EngineError, InitialSource};
 use crate::sink::MatchSink;
 use crate::stats::{RunResult, RunStats};
 
-/// Runs the BFS engine.
-///
-/// `edges`, when given, seeds the first frontier from an explicit
-/// pre-admitted edge list (a durable shard, or seed edges) instead of
-/// the filtered arc stream. The edges must already satisfy
-/// [`edge_admitted`].
+/// Runs the BFS engine over `source`, which seeds the first frontier.
 pub fn run<V: GraphView>(
     g: &V,
     plan: &QueryPlan,
     cfg: &MatcherConfig,
     budget_bytes: usize,
-    edges: Option<&[(u32, u32)]>,
+    source: InitialSource,
     sink: Option<&dyn MatchSink>,
 ) -> Result<RunResult, EngineError> {
     let start = Instant::now();
     let deadline = cfg.time_limit.map(|l| start + l);
     let k = plan.k();
     let mut stats = RunStats::default();
-
-    // Level 0/1: the filtered edges, stride 2.
-    let mut frontier: Vec<u32> = Vec::new();
-    if let Some(edges) = edges {
-        for &(u, v) in edges {
-            frontier.push(u);
-            frontier.push(v);
-            stats.edges_admitted += 1;
-        }
-    } else {
-        for (u, v) in g.arcs() {
-            if edge_admitted(g, plan, u, v) {
-                frontier.push(u);
-                frontier.push(v);
-                stats.edges_admitted += 1;
-            } else {
-                stats.edges_filtered += 1;
-            }
-        }
-    }
+    let (mut frontier, mut stride) = source.frontier(g, plan, &mut stats);
     let mut peak_bytes = frontier.len() * 4;
     let mut matches = 0u64;
 
-    if k == 2 {
-        matches = (frontier.len() / 2) as u64;
+    if stride == k {
+        matches = (frontier.len() / k) as u64;
         if let Some(sink) = sink {
-            for pair in frontier.chunks_exact(2) {
-                sink.emit(pair);
+            for m in frontier.chunks_exact(k) {
+                sink.emit(m);
             }
         }
     }
 
-    let mut stride = 2usize;
     while stride < k {
         if cfg.cancel_requested() {
             break;
         }
-        let level = stride; // next position to extend into
         let num_partials = frontier.len() / stride;
         if num_partials == 0 {
             break;
         }
-        let last_level = level + 1 == k;
+        let last_level = stride + 1 == k;
         let new_stride = stride + 1;
 
         // ---- Upper-bound estimate and batching. ----
-        let ub = |p: usize| -> usize {
-            let m = &frontier[p * stride..(p + 1) * stride];
-            plan.levels[level]
-                .backward
-                .iter()
-                .map(|&b| g.degree(m[b]))
-                .min()
-                .unwrap_or(0)
-        };
         let mut batches: Vec<std::ops::Range<usize>> = Vec::new();
         let mut batch_start = 0usize;
         let mut batch_bytes = 0usize;
-        for p in 0..num_partials {
-            let cost = ub(p) * new_stride * 4;
+        for (p, m) in frontier.chunks_exact(stride).enumerate() {
+            let cost = upper_bound(g, plan, m) * new_stride * 4;
             if p > batch_start && batch_bytes + cost > budget_bytes {
                 batches.push(batch_start..p);
                 batch_start = p;
@@ -132,7 +97,6 @@ pub fn run<V: GraphView>(
                 &frontier,
                 stride,
                 batch.clone(),
-                level,
                 None,
                 if last_level { sink } else { None },
             );
@@ -155,8 +119,7 @@ pub fn run<V: GraphView>(
                 &frontier,
                 stride,
                 batch.clone(),
-                level,
-                Some((&mut out, &offsets, new_stride)),
+                Some((&mut out, &offsets)),
                 None,
             );
             peak_bytes =
@@ -175,16 +138,48 @@ pub fn run<V: GraphView>(
 
     stats.stack_bytes_peak = peak_bytes;
     stats.cancelled = cfg.cancel_requested();
-    Ok(RunResult {
+    let mut result = RunResult {
         matches,
         elapsed: start.elapsed(),
         stats,
-    })
+    };
+    source.account(g, &mut result);
+    Ok(result)
 }
 
-/// Runs one batch pass across `cfg.num_warps` workers. Without an output
-/// target it returns per-partial candidate counts; with one it writes the
-/// extended partials at the given offsets.
+/// PBE's upper bound on the candidates for the position after the
+/// partial `m`: "the smallest set size before set intersection", the
+/// smallest backward row.
+pub(crate) fn upper_bound<V: GraphView>(g: &V, plan: &QueryPlan, m: &[u32]) -> usize {
+    plan.levels[m.len()]
+        .backward
+        .iter()
+        .map(|&b| g.degree(m[b]))
+        .min()
+        .unwrap_or(0)
+}
+
+/// Walks Eq. (1) for the position after the partial `m` from scratch
+/// (BFS keeps no stored levels to seed from) and hands each candidate
+/// that passes the full consumption predicate to `emit`, in ascending
+/// order.
+pub(crate) fn extend<V: GraphView>(
+    g: &V,
+    plan: &QueryPlan,
+    m: &[u32],
+    ws: &mut Workspace,
+    emit: impl FnMut(u32),
+) {
+    let level = m.len();
+    let keep = |v: u32| accept(g, plan, level, v, m, true);
+    walk(g, m, None, &plan.levels[level].backward, ws, keep, emit);
+}
+
+/// Runs one batch pass across `cfg.num_warps` workers, extending each
+/// partial of the batch by one position. Without an output target it
+/// returns per-partial candidate counts (emitting full matches to
+/// `sink`); with one it writes the extended partials at the given
+/// offsets.
 #[allow(clippy::too_many_arguments)]
 fn parallel_pass<V: GraphView>(
     g: &V,
@@ -193,14 +188,20 @@ fn parallel_pass<V: GraphView>(
     frontier: &[u32],
     stride: usize,
     batch: std::ops::Range<usize>,
-    level: usize,
-    fill: Option<(&mut Vec<u32>, &[usize], usize)>,
+    fill: Option<(&mut Vec<u32>, &[usize])>,
     sink: Option<&dyn MatchSink>,
 ) -> Vec<usize> {
     let n = batch.len();
     let workers = cfg.num_warps.min(n.max(1));
     let chunk = n.div_ceil(workers);
     let mut counts = vec![0usize; n];
+    // Locality: warm the next partial's newest vertex row while this
+    // one is expanded.
+    let prefetch_after = |p: usize| {
+        if (p + 2) * stride <= frontier.len() {
+            tdfs_gpu::simd::prefetch_read(g.neighbors(frontier[(p + 2) * stride - 1]));
+        }
+    };
 
     match fill {
         None => {
@@ -208,78 +209,48 @@ fn parallel_pass<V: GraphView>(
                 for (widx, counts_chunk) in counts.chunks_mut(chunk).enumerate() {
                     let batch = batch.clone();
                     scope.spawn(move || {
-                        let mut ws = Workspace::with_simd(cfg.simd);
-                        let mut cands = Vec::new();
+                        let mut ws = Workspace::for_config(cfg);
                         let mut full = vec![0u32; stride + 1];
                         for (i, slot) in counts_chunk.iter_mut().enumerate() {
                             let p = batch.start + widx * chunk + i;
                             let m = &frontier[p * stride..(p + 1) * stride];
-                            // Locality: warm the next partial's newest
-                            // vertex row while this one is expanded.
-                            if (p + 2) * stride <= frontier.len() {
-                                tdfs_gpu::simd::prefetch_read(
-                                    g.neighbors(frontier[(p + 2) * stride - 1]),
-                                );
-                            }
-                            if cfg.fused_leaf {
-                                // Fused counting pass: candidates are
-                                // counted (and, at the output level,
-                                // emitted) straight out of the lanes —
-                                // no materialization in pass 1.
-                                let mut n = 0usize;
-                                if let Some(sink) = sink {
-                                    full[..stride].copy_from_slice(m);
-                                    let buf = &mut full;
-                                    candidates_of_each(g, plan, level, m, &mut ws, |v| {
-                                        n += 1;
-                                        buf[stride] = v;
-                                        sink.emit(buf);
-                                    });
-                                } else {
-                                    candidates_of_each(g, plan, level, m, &mut ws, |_| n += 1);
-                                }
-                                *slot = n;
-                                continue;
-                            }
-                            candidates_of(g, plan, level, m, &mut ws, &mut cands);
-                            *slot = cands.len();
-                            if let Some(sink) = sink {
+                            prefetch_after(p);
+                            if sink.is_some() {
                                 full[..stride].copy_from_slice(m);
-                                for &v in &cands {
+                            }
+                            let mut found = 0usize;
+                            extend(g, plan, m, &mut ws, |v| {
+                                found += 1;
+                                if let Some(sink) = sink {
                                     full[stride] = v;
                                     sink.emit(&full);
                                 }
-                            }
+                            });
+                            *slot = found;
                         }
                     });
                 }
             });
         }
-        Some((out, offsets, new_stride)) => {
-            let out_chunks = split_by_offsets(out, offsets, chunk, new_stride);
+        Some((out, offsets)) => {
+            let out_chunks = split_by_offsets(out, offsets, chunk, stride + 1);
             std::thread::scope(|scope| {
                 for (widx, out_chunk) in out_chunks.into_iter().enumerate() {
                     let batch = batch.clone();
                     scope.spawn(move || {
-                        let mut ws = Workspace::with_simd(cfg.simd);
-                        let mut cands = Vec::new();
+                        let mut ws = Workspace::for_config(cfg);
                         let mut cursor = 0usize;
                         let lo = widx * chunk;
                         let hi = ((widx + 1) * chunk).min(batch.len());
                         for i in lo..hi {
                             let p = batch.start + i;
                             let m = &frontier[p * stride..(p + 1) * stride];
-                            if (p + 2) * stride <= frontier.len() {
-                                tdfs_gpu::simd::prefetch_read(
-                                    g.neighbors(frontier[(p + 2) * stride - 1]),
-                                );
-                            }
-                            candidates_of(g, plan, level, m, &mut ws, &mut cands);
-                            for &v in &cands {
+                            prefetch_after(p);
+                            extend(g, plan, m, &mut ws, |v| {
                                 out_chunk[cursor..cursor + stride].copy_from_slice(m);
                                 out_chunk[cursor + stride] = v;
-                                cursor += new_stride;
-                            }
+                                cursor += stride + 1;
+                            });
                         }
                         debug_assert_eq!(cursor, out_chunk.len());
                     });
@@ -314,19 +285,4 @@ fn split_by_offsets<'a>(
         start = end;
     }
     regions
-}
-
-/// From-scratch Eq. (1) candidates with all predicates applied (BFS keeps
-/// no per-partial stacks, so there is no reuse source). Materializes into
-/// the caller-owned `out`; all scratch lives in the workspace.
-pub(crate) fn candidates_of<V: GraphView>(
-    g: &V,
-    plan: &QueryPlan,
-    level: usize,
-    m: &[u32],
-    ws: &mut Workspace,
-    out: &mut Vec<u32>,
-) {
-    out.clear();
-    candidates_of_each(g, plan, level, m, ws, |v| out.push(v));
 }

@@ -1,35 +1,47 @@
 //! Candidate computation (Eq. 1) through a warp, with reuse and the
 //! consumption-time predicate.
 //!
-//! `fill_level` computes `C_S(u_level) = ⋂_{u_j ∈ B^π(u_level)} N(S[u_j])`
-//! into `stack[level]` with the warp's 32-lane intersection kernel,
-//! seeding from a stored ancestor level when the reuse plan allows
-//! (paper Fig. 7). Levels store the **raw** intersection; the label,
-//! degree, injectivity and symmetry predicates are evaluated by
-//! [`accept`] when a candidate is consumed, which keeps reuse
-//! unconditionally sound (DESIGN.md §4).
+//! Every engine computes `C_S(u_level) = ⋂_{u_j ∈ B^π(u_level)} N(S[u_j])`
+//! through the one [`walk`], on the warp's 32-lane intersection kernel.
+//! [`fill_level`] keeps every candidate and stores it in
+//! `stack[level]`, seeding from a stored ancestor level when the reuse
+//! plan allows (paper Fig. 7). Levels store the **raw** intersection;
+//! the label, degree, injectivity and symmetry predicates are evaluated
+//! by [`accept`] when a candidate is consumed, which keeps reuse
+//! unconditionally sound (DESIGN.md §4). The fused leaf ([`count_leaf`])
+//! folds `accept` into the walk's last intersection instead, and the
+//! BFS engines walk from scratch, with no stored level to seed from.
 
 use tdfs_gpu::warp::WarpOps;
 use tdfs_graph::{GraphView, VertexId};
 use tdfs_mem::{LevelStore, StackError};
 use tdfs_query::plan::QueryPlan;
 
+use crate::config::MatcherConfig;
+use crate::sink::MatchSink;
+
 /// Per-warp scratch space reused across fills (no hot-loop allocation).
 #[derive(Default)]
 pub struct Workspace {
     /// The warp's lane-op context and counters.
     pub warp: WarpOps,
+    /// Whether every operand row pays EGSM's CT-index indirections
+    /// ([`MatcherConfig::ct_index`]).
+    ct_index: bool,
+    /// Whether [`fill_level`] removes matched vertices in a separate
+    /// pass (STMatch; `!MatcherConfig::fused_injectivity`).
+    separate_injectivity: bool,
     scratch_a: Vec<u32>,
     scratch_b: Vec<u32>,
     /// Data-vertex ids whose neighbor lists are the Eq. (1) operands of
-    /// the current fill, sorted smallest-degree first. Stored as ids
+    /// the current walk, sorted smallest-degree first. Stored as ids
     /// rather than `&[u32]` slices so the buffer can live here across
     /// calls without borrowing the graph.
     operand_ids: Vec<u32>,
     /// Full-match assembly buffer for sink emission at the fused leaf
     /// (taken out with `mem::take` while the workspace is borrowed by
-    /// [`fuse_leaf_level`]).
-    pub(crate) leaf_buf: Vec<u32>,
+    /// the walk).
+    leaf_buf: Vec<u32>,
 }
 
 impl Workspace {
@@ -38,12 +50,17 @@ impl Workspace {
         Self::default()
     }
 
-    /// Creates an empty workspace with the warp's kernel path pinned
-    /// (engines pass `MatcherConfig::simd` here so one knob governs
-    /// every intersection a run issues).
-    pub fn with_simd(simd: bool) -> Self {
-        let mut ws = Self::default();
-        ws.warp.set_simd(simd);
+    /// The workspace a warp of a run under `cfg` uses: the kernel path
+    /// pinned to `cfg.simd`, the CT-index charge set by `cfg.ct_index`
+    /// and the injectivity pass by `cfg.fused_injectivity`, so one
+    /// configuration governs every intersection the run issues.
+    pub fn for_config(cfg: &MatcherConfig) -> Self {
+        let mut ws = Self {
+            ct_index: cfg.ct_index,
+            separate_injectivity: !cfg.fused_injectivity,
+            ..Self::default()
+        };
+        ws.warp.set_simd(cfg.simd);
         ws
     }
 }
@@ -123,16 +140,106 @@ pub fn separate_injectivity_pass<L: LevelStore>(
     err.map_or(Ok(()), Err)
 }
 
+/// The one Eq. (1) walk: intersects the rows `N(m[j])` of the positions
+/// `operands`, seeded by `seed` (a stored ancestor level) when there is
+/// one and by the smallest row otherwise, and folds in the remaining
+/// rows smallest-degree first. The last intersection applies `keep` in
+/// the lanes and hands each survivor to `emit`, in ascending order;
+/// intermediate results keep everything. An empty intermediate ends the
+/// walk, since the result can only be empty.
+///
+/// `keep` and `emit` are statically dispatched; only the seed's chunks
+/// go through [`LevelStore::for_each_chunk`].
+pub(crate) fn walk<V: GraphView>(
+    g: &V,
+    m: &[u32],
+    seed: Option<&dyn LevelStore>,
+    operands: &[usize],
+    ws: &mut Workspace,
+    mut keep: impl FnMut(u32) -> bool,
+    mut emit: impl FnMut(u32),
+) {
+    let Workspace {
+        warp,
+        ct_index,
+        scratch_a,
+        scratch_b,
+        operand_ids,
+        ..
+    } = ws;
+    if *ct_index {
+        warp.charge_indirections(CT_INDEX_INDIRECTIONS * operands.len() as u64);
+    }
+    operand_ids.clear();
+    operand_ids.extend(operands.iter().map(|&j| m[j]));
+    operand_ids.sort_unstable_by_key(|&v| g.degree(v));
+    // The first intersection, straight to `emit` when it is also the
+    // last, else into `scratch_a` with the rows still to fold.
+    let rest = match (seed, &operand_ids[..]) {
+        (Some(source), []) => {
+            source.for_each_chunk(&mut |c| warp.filter(c, &mut keep, &mut emit));
+            return;
+        }
+        (Some(source), [only]) => {
+            let row = g.neighbors(*only);
+            source.for_each_chunk(&mut |c| warp.intersect_filtered(c, row, &mut keep, &mut emit));
+            return;
+        }
+        (Some(source), [first, rest @ ..]) => {
+            let row = g.neighbors(*first);
+            scratch_a.clear();
+            source.for_each_chunk(&mut |c| warp.intersect(c, row, |x| scratch_a.push(x)));
+            rest
+        }
+        (None, [only]) => return warp.filter(g.neighbors(*only), keep, emit),
+        (None, [a, b]) => {
+            return warp.intersect_filtered(g.neighbors(*a), g.neighbors(*b), keep, emit)
+        }
+        (None, [a, b, rest @ ..]) => {
+            scratch_a.clear();
+            warp.intersect(g.neighbors(*a), g.neighbors(*b), |x| scratch_a.push(x));
+            rest
+        }
+        (None, []) => unreachable!("every level past the first edge has a backward neighbor"),
+    };
+    let (last, middle) = rest.split_last().expect("a seeded fold has a row left");
+    for &v in middle {
+        if scratch_a.is_empty() {
+            return;
+        }
+        scratch_b.clear();
+        warp.intersect(scratch_a, g.neighbors(v), |x| scratch_b.push(x));
+        std::mem::swap(scratch_a, scratch_b);
+    }
+    warp.intersect_filtered(scratch_a, g.neighbors(*last), keep, emit);
+}
+
+/// The seed and the fold operands of `level`'s walk: the stored reuse
+/// source with the positions it leaves, or no seed and the whole
+/// backward set. `valid_from` is the shallowest stack level filled by
+/// the *current* task: a reuse source below it is stale (the task prefix
+/// came from `Q_task`, a steal, or a child-kernel dispatch, not from
+/// this warp's own descent), so the walk starts from scratch instead.
+fn operands<'a, L: LevelStore>(
+    plan: &'a QueryPlan,
+    level: usize,
+    stack: &'a [L],
+    valid_from: usize,
+) -> (Option<&'a dyn LevelStore>, &'a [usize]) {
+    let lvl = &plan.levels[level];
+    match lvl.reuse.as_ref().filter(|s| s.source >= valid_from) {
+        Some(step) => (Some(&stack[step.source]), &step.remaining),
+        None => (None, &lvl.backward),
+    }
+}
+
 /// Fills `stack[level]` with the Eq. (1) candidates for the partial
-/// match `m[..level]`.
+/// match `m[..level]`, then runs the [`separate_injectivity_pass`] when
+/// the workspace asks for one.
 ///
 /// `stack` must contain all `k` levels; `level ≥ 2` (positions 0 and 1
-/// come from the initial edge task). `valid_from` is the shallowest
-/// stack level filled by the *current* task: a reuse source below it is
-/// stale (the task prefix came from `Q_task`, a steal, or a child-kernel
-/// dispatch, not from this warp's own descent) and the candidates are
-/// computed from scratch instead.
-#[allow(clippy::too_many_arguments)]
+/// come from the initial edge task). `valid_from` is as in
+/// [`operands`].
 pub fn fill_level<V: GraphView, L: LevelStore>(
     g: &V,
     plan: &QueryPlan,
@@ -140,94 +247,28 @@ pub fn fill_level<V: GraphView, L: LevelStore>(
     m: &[u32],
     stack: &mut [L],
     ws: &mut Workspace,
-    ct_index: bool,
     valid_from: usize,
 ) -> Result<(), StackError> {
     debug_assert!(level >= 2 && level < stack.len());
-    let lvl = &plan.levels[level];
-    debug_assert!(!lvl.backward.is_empty());
-
     let (head, tail) = stack.split_at_mut(level);
     let dest = &mut tail[0];
     dest.clear();
-
-    let Workspace {
-        warp,
-        scratch_a,
-        scratch_b,
-        operand_ids,
-        ..
-    } = ws;
-
-    let reuse = lvl.reuse.as_ref().filter(|s| s.source >= valid_from);
-    if let Some(step) = reuse {
-        let source = &head[step.source];
-        if step.remaining.is_empty() {
-            // Pure copy, still lane-batched.
-            let mut err = None;
-            source.for_each_chunk(&mut |chunk| {
-                warp.filter(chunk, |_| true, |x| push_latched(dest, x, &mut err));
-            });
-            return err.map_or(Ok(()), Err);
-        }
-        if ct_index {
-            warp.charge_indirections(CT_INDEX_INDIRECTIONS * step.remaining.len() as u64);
-        }
-        if step.remaining.len() == 1 {
-            let first = g.neighbors(m[step.remaining[0]]);
-            let mut err = None;
-            source.for_each_chunk(&mut |chunk| {
-                warp.intersect(chunk, first, |x| push_latched(dest, x, &mut err));
-            });
-            return err.map_or(Ok(()), Err);
-        }
-        operand_ids.clear();
-        operand_ids.extend(step.remaining.iter().map(|&j| m[j]));
-        operand_ids.sort_unstable_by_key(|&v| g.degree(v));
-        let first = g.neighbors(operand_ids[0]);
-        scratch_a.clear();
-        source.for_each_chunk(&mut |chunk| {
-            warp.intersect(chunk, first, |x| scratch_a.push(x));
-        });
-        return fold_neighbors(dest, g, &operand_ids[1..], warp, scratch_a, scratch_b);
-    }
-
-    // No reuse: intersect the backward neighbor lists, smallest first.
-    if ct_index {
-        warp.charge_indirections(CT_INDEX_INDIRECTIONS * lvl.backward.len() as u64);
-    }
-    operand_ids.clear();
-    operand_ids.extend(lvl.backward.iter().map(|&j| m[j]));
-    operand_ids.sort_unstable_by_key(|&v| g.degree(v));
-
-    if operand_ids.len() == 1 {
-        // Single backward neighbor: candidates are its whole list.
-        let mut err = None;
-        warp.filter(
-            g.neighbors(operand_ids[0]),
-            |_| true,
-            |x| push_latched(dest, x, &mut err),
-        );
-        return err.map_or(Ok(()), Err);
-    }
-
-    if operand_ids.len() == 2 {
-        let mut err = None;
-        warp.intersect(
-            g.neighbors(operand_ids[0]),
-            g.neighbors(operand_ids[1]),
-            |x| push_latched(dest, x, &mut err),
-        );
-        return err.map_or(Ok(()), Err);
-    }
-
-    scratch_a.clear();
-    warp.intersect(
-        g.neighbors(operand_ids[0]),
-        g.neighbors(operand_ids[1]),
-        |x| scratch_a.push(x),
+    let (seed, operands) = operands(plan, level, head, valid_from);
+    let mut err = None;
+    walk(
+        g,
+        m,
+        seed,
+        operands,
+        ws,
+        |_| true,
+        |x| push_latched(dest, x, &mut err),
     );
-    fold_neighbors(dest, g, &operand_ids[2..], warp, scratch_a, scratch_b)
+    err.map_or(Ok(()), Err)?;
+    if ws.separate_injectivity {
+        separate_injectivity_pass(dest, &m[..level], ws)?;
+    }
+    Ok(())
 }
 
 /// Computes the leaf level's Eq. (1) candidates and consumes them in
@@ -243,215 +284,54 @@ pub fn fill_level<V: GraphView, L: LevelStore>(
 /// materialized level to subtract from — the accepted set is identical
 /// either way, only the (now nonexistent) extra pass differs.
 ///
-/// `head` is the stack below the leaf (potential reuse sources);
-/// `valid_from` has the same staleness meaning as in [`fill_level`].
-#[allow(clippy::too_many_arguments)]
-pub fn fuse_leaf_level<V: GraphView, L: LevelStore, F: FnMut(u32)>(
+/// `stack` holds the levels below the leaf (potential reuse sources);
+/// `valid_from` is as in [`operands`].
+fn fuse_leaf_level<V: GraphView, L: LevelStore>(
     g: &V,
     plan: &QueryPlan,
     m: &[u32],
-    head: &[L],
+    stack: &[L],
     ws: &mut Workspace,
-    ct_index: bool,
     valid_from: usize,
-    mut on_match: F,
+    on_match: impl FnMut(u32),
 ) {
     let leaf = plan.k() - 1;
-    let lvl = &plan.levels[leaf];
-    debug_assert!(!lvl.backward.is_empty());
-    let Workspace {
-        warp,
-        scratch_a,
-        scratch_b,
-        operand_ids,
-        ..
-    } = ws;
-
+    let (seed, operands) = operands(plan, leaf, stack, valid_from);
     let keep = |v: u32| accept(g, plan, leaf, v, m, true);
-
-    let reuse = lvl.reuse.as_ref().filter(|s| s.source >= valid_from);
-    if let Some(step) = reuse {
-        let source = &head[step.source];
-        if step.remaining.is_empty() {
-            source.for_each_chunk(&mut |chunk| {
-                warp.filter(chunk, keep, &mut on_match);
-            });
-            return;
-        }
-        if ct_index {
-            warp.charge_indirections(CT_INDEX_INDIRECTIONS * step.remaining.len() as u64);
-        }
-        if step.remaining.len() == 1 {
-            let first = g.neighbors(m[step.remaining[0]]);
-            source.for_each_chunk(&mut |chunk| {
-                warp.intersect_filtered(chunk, first, keep, &mut on_match);
-            });
-            return;
-        }
-        operand_ids.clear();
-        operand_ids.extend(step.remaining.iter().map(|&j| m[j]));
-        operand_ids.sort_unstable_by_key(|&v| g.degree(v));
-        let first = g.neighbors(operand_ids[0]);
-        scratch_a.clear();
-        source.for_each_chunk(&mut |chunk| {
-            warp.intersect(chunk, first, |x| scratch_a.push(x));
-        });
-        fold_neighbors_fused(
-            g,
-            &operand_ids[1..],
-            warp,
-            scratch_a,
-            scratch_b,
-            keep,
-            on_match,
-        );
-        return;
-    }
-
-    if ct_index {
-        warp.charge_indirections(CT_INDEX_INDIRECTIONS * lvl.backward.len() as u64);
-    }
-    operand_ids.clear();
-    operand_ids.extend(lvl.backward.iter().map(|&j| m[j]));
-    operand_ids.sort_unstable_by_key(|&v| g.degree(v));
-
-    if operand_ids.len() == 1 {
-        warp.filter(g.neighbors(operand_ids[0]), keep, &mut on_match);
-        return;
-    }
-
-    if operand_ids.len() == 2 {
-        warp.intersect_filtered(
-            g.neighbors(operand_ids[0]),
-            g.neighbors(operand_ids[1]),
-            keep,
-            &mut on_match,
-        );
-        return;
-    }
-
-    scratch_a.clear();
-    warp.intersect(
-        g.neighbors(operand_ids[0]),
-        g.neighbors(operand_ids[1]),
-        |x| scratch_a.push(x),
-    );
-    fold_neighbors_fused(
-        g,
-        &operand_ids[2..],
-        warp,
-        scratch_a,
-        scratch_b,
-        keep,
-        on_match,
-    );
+    walk(g, m, seed, operands, ws, keep, on_match);
 }
 
-/// From-scratch Eq. (1) candidates for one partial match, with the full
-/// consumption predicate folded into the final intersection and each
-/// survivor handed to `emit` in ascending order. Used by the BFS engine,
-/// which keeps no per-partial stacks (so there is no reuse source) and
-/// consumes candidates immediately.
-pub(crate) fn candidates_of_each<V: GraphView, F: FnMut(u32)>(
+/// Runs the fused leaf for the full prefix `m[..k-1]` and returns how
+/// many matches it found, emitting each to `sink` when there is one.
+/// Every engine with a DFS stack consumes its leaf through here.
+pub(crate) fn count_leaf<V: GraphView, L: LevelStore>(
     g: &V,
     plan: &QueryPlan,
-    level: usize,
     m: &[u32],
+    stack: &[L],
     ws: &mut Workspace,
-    mut emit: F,
-) {
-    let lvl = &plan.levels[level];
-    debug_assert!(!lvl.backward.is_empty());
-    let Workspace {
-        warp,
-        scratch_a,
-        scratch_b,
-        operand_ids,
-        ..
-    } = ws;
-    let keep = |v: u32| accept(g, plan, level, v, m, true);
-    operand_ids.clear();
-    operand_ids.extend(lvl.backward.iter().map(|&j| m[j]));
-    operand_ids.sort_unstable_by_key(|&v| g.degree(v));
-    match operand_ids.len() {
-        1 => warp.filter(g.neighbors(operand_ids[0]), keep, &mut emit),
-        2 => warp.intersect_filtered(
-            g.neighbors(operand_ids[0]),
-            g.neighbors(operand_ids[1]),
-            keep,
-            &mut emit,
-        ),
-        _ => {
-            scratch_a.clear();
-            warp.intersect(
-                g.neighbors(operand_ids[0]),
-                g.neighbors(operand_ids[1]),
-                |x| scratch_a.push(x),
-            );
-            fold_neighbors_fused(g, &operand_ids[2..], warp, scratch_a, scratch_b, keep, emit);
-        }
-    }
-}
-
-/// Folds `scratch_a ∩ N(ids...)` into `dest`; the last intersection
-/// writes straight into the stack level (the batched cross-page write of
-/// Fig. 6). An empty intermediate short-circuits the remaining folds —
-/// the result can only be empty.
-fn fold_neighbors<V: GraphView, L: LevelStore>(
-    dest: &mut L,
-    g: &V,
-    ids: &[u32],
-    warp: &mut WarpOps,
-    scratch_a: &mut Vec<u32>,
-    scratch_b: &mut Vec<u32>,
-) -> Result<(), StackError> {
-    let n = ids.len();
-    for (i, &v) in ids.iter().enumerate() {
-        if scratch_a.is_empty() {
-            return Ok(());
-        }
-        let b = g.neighbors(v);
-        if i + 1 == n {
-            let mut err = None;
-            warp.intersect(scratch_a, b, |x| push_latched(dest, x, &mut err));
-            return err.map_or(Ok(()), Err);
-        }
-        scratch_b.clear();
-        warp.intersect(scratch_a, b, |x| scratch_b.push(x));
-        std::mem::swap(scratch_a, scratch_b);
-    }
-    // No ids left: move scratch into dest.
-    let mut err = None;
-    warp.filter(scratch_a, |_| true, |x| push_latched(dest, x, &mut err));
-    err.map_or(Ok(()), Err)
-}
-
-/// [`fold_neighbors`] for the fused leaf: the final intersection applies
-/// `keep` in the lanes and emits survivors instead of pushing them.
-fn fold_neighbors_fused<V: GraphView>(
-    g: &V,
-    ids: &[u32],
-    warp: &mut WarpOps,
-    scratch_a: &mut Vec<u32>,
-    scratch_b: &mut Vec<u32>,
-    mut keep: impl FnMut(u32) -> bool,
-    mut emit: impl FnMut(u32),
-) {
-    let n = ids.len();
-    for (i, &v) in ids.iter().enumerate() {
-        if scratch_a.is_empty() {
-            return;
-        }
-        let b = g.neighbors(v);
-        if i + 1 == n {
-            warp.intersect_filtered(scratch_a, b, &mut keep, &mut emit);
-            return;
-        }
-        scratch_b.clear();
-        warp.intersect(scratch_a, b, |x| scratch_b.push(x));
-        std::mem::swap(scratch_a, scratch_b);
-    }
-    warp.filter(scratch_a, &mut keep, &mut emit);
+    valid_from: usize,
+    sink: Option<&dyn MatchSink>,
+) -> u64 {
+    let k = plan.k();
+    let mut found = 0u64;
+    let Some(sink) = sink else {
+        fuse_leaf_level(g, plan, m, stack, ws, valid_from, |_| found += 1);
+        return found;
+    };
+    // Assemble emitted matches in a workspace-resident buffer (taken
+    // out for the duration of the call — `ws` is busy inside).
+    let mut buf = std::mem::take(&mut ws.leaf_buf);
+    buf.clear();
+    buf.extend_from_slice(&m[..k - 1]);
+    buf.push(0);
+    fuse_leaf_level(g, plan, m, stack, ws, valid_from, |v| {
+        found += 1;
+        buf[k - 1] = v;
+        sink.emit(&buf);
+    });
+    ws.leaf_buf = buf;
+    found
 }
 
 #[cfg(test)]
@@ -485,7 +365,7 @@ mod tests {
         let mut s = stack(4, 16);
         let mut ws = Workspace::new();
         let m = [0u32, 1, 0, 0];
-        fill_level(&g, &plan, 2, &m, &mut s, &mut ws, false, 2).unwrap();
+        fill_level(&g, &plan, 2, &m, &mut s, &mut ws, 2).unwrap();
         // N(0) ∩ N(1) in K5 = {2, 3, 4}.
         assert_eq!(s[2].to_vec(), vec![2, 3, 4]);
     }
@@ -509,12 +389,12 @@ mod tests {
         let m = [0u32, 1, 2, 0, 0];
 
         let mut s1 = stack(5, 16);
-        fill_level(&g, &with, 2, &m, &mut s1, &mut ws, false, 2).unwrap();
-        fill_level(&g, &with, 3, &m, &mut s1, &mut ws, false, 2).unwrap();
+        fill_level(&g, &with, 2, &m, &mut s1, &mut ws, 2).unwrap();
+        fill_level(&g, &with, 3, &m, &mut s1, &mut ws, 2).unwrap();
 
         let mut s2 = stack(5, 16);
-        fill_level(&g, &without, 2, &m, &mut s2, &mut ws, false, 2).unwrap();
-        fill_level(&g, &without, 3, &m, &mut s2, &mut ws, false, 2).unwrap();
+        fill_level(&g, &without, 2, &m, &mut s2, &mut ws, 2).unwrap();
+        fill_level(&g, &without, 3, &m, &mut s2, &mut ws, 2).unwrap();
 
         assert_eq!(s1[3].to_vec(), s2[3].to_vec());
         assert_eq!(s1[3].to_vec(), vec![3, 4]); // N(0)∩N(1)∩N(2)
@@ -555,27 +435,73 @@ mod tests {
         assert!(!accept(&g, &plan, 1, v_bad, &m[..1], true) || g.label(v_bad) == want);
     }
 
-    #[test]
-    fn fused_leaf_agrees_with_materialize_then_accept() {
-        let g = k5_graph();
-        let plan = QueryPlan::build(&PatternId(2).pattern()); // K4
-        let mut s = stack(4, 16);
-        let mut ws = Workspace::new();
-        let m = [0u32, 1, 2, 0];
-        fill_level(&g, &plan, 2, &m, &mut s, &mut ws, false, 2).unwrap();
-        // Materialized path: fill the leaf, then accept-filter.
-        fill_level(&g, &plan, 3, &m, &mut s, &mut ws, false, 2).unwrap();
-        let expect: Vec<u32> = s[3]
+    /// Checks level `level` of `plan` as a leaf for the prefix
+    /// `m[..level]`, then descends into each accepted candidate.
+    /// Fill-then-`accept`, the fused leaf and the BFS engines' walk
+    /// without a reuse source must yield the same candidates in the same
+    /// order. Returns the number of prefixes checked.
+    fn check_leaves(
+        g: &CsrGraph,
+        plan: &QueryPlan,
+        level: usize,
+        m: &mut [u32],
+        s: &mut [ArrayLevel],
+        ws: &mut Workspace,
+    ) -> usize {
+        fill_level(g, plan, level, m, s, ws, 2).unwrap();
+        let filled: Vec<u32> = s[level]
             .to_vec()
             .into_iter()
-            .filter(|&v| accept(&g, &plan, 3, v, &m, true))
+            .filter(|&v| accept(g, plan, level, v, m, true))
             .collect();
-        assert_eq!(expect, vec![3, 4]);
-        // Fused path: same candidates, no materialization.
-        let (head, _) = s.split_at(3);
-        let mut got = Vec::new();
-        fuse_leaf_level(&g, &plan, &m, head, &mut ws, false, 2, |v| got.push(v));
-        assert_eq!(got, expect);
+        let mut leaf_plan = plan.clone();
+        leaf_plan.levels.truncate(level + 1);
+        let mut fused = Vec::new();
+        fuse_leaf_level(g, &leaf_plan, m, s, ws, 2, |v| fused.push(v));
+        let mut bfs = Vec::new();
+        crate::bfs::extend(g, plan, &m[..level], ws, |v| bfs.push(v));
+        assert_eq!(fused, filled, "fused leaf, level {level}, prefix {m:?}");
+        assert_eq!(bfs, filled, "BFS walk, level {level}, prefix {m:?}");
+        let mut checked = 1;
+        if level + 1 < plan.k() {
+            for v in filled {
+                m[level] = v;
+                checked += check_leaves(g, plan, level + 1, m, s, ws);
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn fused_leaf_agrees_with_materialize_then_accept() {
+        let g = tdfs_graph::generators::barabasi_albert(60, 4, 5);
+        for pid in 1..=11 {
+            let p = PatternId(pid).pattern();
+            for intersection_reuse in [true, false] {
+                let plan = QueryPlan::build_with(
+                    &p,
+                    PlanOptions {
+                        symmetry_breaking: true,
+                        intersection_reuse,
+                    },
+                );
+                for ct_index in [false, true] {
+                    let mut ws = Workspace {
+                        ct_index,
+                        ..Workspace::new()
+                    };
+                    let mut s = stack(plan.k(), g.max_degree());
+                    let mut m = vec![0u32; plan.k()];
+                    let mut checked = 0;
+                    for (v1, v2) in g.arcs().step_by(7).take(40) {
+                        m[0] = v1;
+                        m[1] = v2;
+                        checked += check_leaves(&g, &plan, 2, &mut m, &mut s, &mut ws);
+                    }
+                    assert!(checked > 0, "P{pid}: no prefix checked");
+                }
+            }
+        }
     }
 
     #[test]
@@ -592,10 +518,10 @@ mod tests {
         let mut s = stack(4, 16);
         let mut ws = Workspace::new();
         let m = [0u32, 1, 2, 0];
-        fill_level(&g, &plan, 2, &m, &mut s, &mut ws, false, 2).unwrap();
+        fill_level(&g, &plan, 2, &m, &mut s, &mut ws, 2).unwrap();
         let (head, _) = s.split_at(3);
         let mut got = Vec::new();
-        fuse_leaf_level(&g, &plan, &m, head, &mut ws, false, 2, |v| got.push(v));
+        fuse_leaf_level(&g, &plan, &m, head, &mut ws, 2, |v| got.push(v));
         assert_eq!(got, vec![3, 4]);
     }
 
@@ -621,9 +547,12 @@ mod tests {
             },
         );
         let mut s = stack(4, 16);
-        let mut ws = Workspace::new();
+        let mut ws = Workspace {
+            ct_index: true,
+            ..Workspace::new()
+        };
         let m = [0u32, 1, 0, 0];
-        fill_level(&g, &plan, 2, &m, &mut s, &mut ws, true, 2).unwrap();
+        fill_level(&g, &plan, 2, &m, &mut s, &mut ws, 2).unwrap();
         assert_eq!(ws.warp.stats.extra_indirections, 4, "2 lists × 2");
     }
 
@@ -635,7 +564,7 @@ mod tests {
         let mut ws = Workspace::new();
         let m = [0u32, 1, 0, 0];
         assert!(matches!(
-            fill_level(&g, &plan, 2, &m, &mut s, &mut ws, false, 2),
+            fill_level(&g, &plan, 2, &m, &mut s, &mut ws, 2),
             Err(StackError::LevelOverflow { .. })
         ));
     }

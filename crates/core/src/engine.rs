@@ -14,10 +14,16 @@
 //! of the timeout/queue path, a fanout larger than the threshold
 //! dispatches a child "kernel" (fresh worker threads with newly allocated
 //! stacks) over the oversized level.
+//!
+//! The module also holds what all five engines share: [`InitialSource`]
+//! (where initial tasks come from, and how their edges are counted), the
+//! edge filter, and `Run` — the inputs, first-error cell, deadline and
+//! warp launcher that every warp of a run reads.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::Scope;
+use std::time::{Duration, Instant};
 
 use tdfs_gpu::device::Device;
 use tdfs_gpu::queue::{Task, PAD};
@@ -26,12 +32,10 @@ use tdfs_graph::GraphView;
 use tdfs_mem::{ArrayLevel, LevelStore, PagedLevel, StackError};
 use tdfs_query::plan::{LevelPlan, QueryPlan};
 
-use crate::candidates::{
-    accept, fill_level, fuse_leaf_level, separate_injectivity_pass, Workspace,
-};
+use crate::candidates::{accept, count_leaf, fill_level, Workspace};
 use crate::config::{MatcherConfig, Strategy};
 use crate::sink::MatchSink;
-use crate::stack::{StackFactory, WarpStack};
+use crate::stack::{FactoryLevel, StackFactory, WarpStack};
 use crate::stats::{RunResult, RunStats};
 
 /// Engine failure modes.
@@ -81,104 +85,58 @@ impl From<StackError> for EngineError {
     }
 }
 
+/// Locks `m`, recovering the data of a mutex that a panicking warp
+/// poisoned. The one poison policy of every engine: the panic is already
+/// the run's error (see [`PanicGuard`]) and the scope re-raises it, so
+/// no result is ever built from data the panic interrupted.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A run's first-error cell, alone on its cache line. Half-steal warps
+/// lock it on every step; sharing a line with the inputs every warp
+/// reads made 2-warp half-steal runs about a fifth slower (youtube_s
+/// P8 on a 2-core x86-64 host).
+#[repr(align(64))]
+struct ErrorCell(Mutex<Option<EngineError>>);
+
+impl ErrorCell {
+    fn lock(&self) -> MutexGuard<'_, Option<EngineError>> {
+        lock(&self.0)
+    }
+}
+
 /// Records [`EngineError::WorkerPanicked`] in a run's error cell when the
 /// warp holding it unwinds. The other warps then see a failed run and
 /// leave their termination wait, which counts on every warp turning
 /// idle, and the enclosing thread scope re-raises the panic once they
 /// have exited.
-pub(crate) struct PanicGuard<'a>(pub(crate) &'a Mutex<Option<EngineError>>);
+struct PanicGuard<'a>(&'a ErrorCell);
 
 impl Drop for PanicGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .get_or_insert(EngineError::WorkerPanicked);
+            self.0.lock().get_or_insert(EngineError::WorkerPanicked);
         }
     }
 }
 
-/// Shared run-wide state visible to every warp.
-struct SharedRun<'a, V: GraphView> {
-    g: &'a V,
-    plan: &'a QueryPlan,
-    cfg: &'a MatcherConfig,
-    device: &'a Device,
-    clock: Clock,
-    tau_ns: Option<u64>,
-    fanout_threshold: Option<usize>,
-    idle: AtomicUsize,
-    matches: AtomicU64,
-    timeouts: AtomicU64,
-    kernels: AtomicU64,
-    error: Mutex<Option<EngineError>>,
-    /// Where initial tasks come from.
-    source: InitialSource,
-    /// Wall-clock budget expiry.
-    deadline: Option<Instant>,
-    /// Optional match consumer shared by all warps.
-    sink: Option<&'a dyn MatchSink>,
-    /// Work units reported by child-kernel warps (EGSM model).
-    child_work: Mutex<Vec<u64>>,
-    /// Live child-kernel warps (bounded: a kernel storm would otherwise
-    /// exhaust OS threads; the cap itself models the paper's "many
-    /// active kernels … add burden to warp scheduling").
-    active_children: AtomicUsize,
-}
-
-impl<V: GraphView> SharedRun<'_, V> {
-    fn record_error(&self, e: EngineError) {
-        let mut guard = self.error.lock().expect("error mutex poisoned");
-        guard.get_or_insert(e);
-    }
-
-    fn failed(&self) -> bool {
-        self.error.lock().expect("error mutex poisoned").is_some()
-    }
-
-    /// Emits a completed match to the sink, if any.
-    #[inline]
-    fn emit(&self, m: &[u32]) {
-        if let Some(sink) = self.sink {
-            sink.emit(m);
-        }
-    }
-
-    /// Deadline check; records `TimeLimit` and returns `true` if expired.
-    fn over_deadline(&self) -> bool {
-        match self.deadline {
-            Some(d) if Instant::now() > d => {
-                self.record_error(EngineError::TimeLimit);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// External-cancellation check (no error is recorded: a cancelled
-    /// run completes with `Ok` and partial counts).
-    #[inline]
-    fn cancelled(&self) -> bool {
-        self.cfg.cancel_requested()
-    }
-
-    /// Number of initial tasks for the device cursor.
-    fn initial_total(&self) -> usize {
-        match &self.source {
-            InitialSource::Arcs => self.g.num_arcs(),
-            InitialSource::Edges(v) => v.len(),
-            InitialSource::Partials { data, stride } => data.len() / stride,
-        }
-    }
-}
-
-/// Where a run's initial tasks come from.
+/// Where a run's initial tasks come from. [`InitialSource::choose`]
+/// makes this choice once for all five engines, and
+/// [`InitialSource::account`] counts its edges by one rule.
 pub enum InitialSource {
     /// The raw arc stream, edge-filtered in-warp (T-DFS default).
     Arcs,
-    /// A host-prefiltered edge list (STMatch's preprocessing step).
+    /// A pre-admitted edge list from the caller (a durable shard, or
+    /// seed edges), which no warp re-filters.
     Edges(Vec<(u32, u32)>),
+    /// The host filter's admitted edges (STMatch's preprocessing step).
+    HostFiltered {
+        /// [`host_filter_edges`]' list.
+        edges: Vec<(u32, u32)>,
+        /// How long the filter took.
+        took: Duration,
+    },
     /// Materialized partial matches of a fixed prefix length — the
     /// BFS→DFS switch-over frontier of the hybrid engine. Partials were
     /// produced under full plan semantics, so no re-filtering happens.
@@ -188,6 +146,121 @@ pub enum InitialSource {
         /// Matched prefix length (≥ 2).
         stride: usize,
     },
+}
+
+impl InitialSource {
+    /// The source a run under `cfg` starts from: the caller's `edges`
+    /// when given, else the host filter's list when
+    /// `cfg.host_edge_filter` is set, else the arc stream.
+    pub fn choose<V: GraphView>(
+        g: &V,
+        plan: &QueryPlan,
+        cfg: &MatcherConfig,
+        edges: Option<Vec<(u32, u32)>>,
+    ) -> Self {
+        match edges {
+            Some(edges) => Self::Edges(edges),
+            None if cfg.host_edge_filter => {
+                let t = Instant::now();
+                let edges = host_filter_edges(g, plan);
+                Self::HostFiltered {
+                    edges,
+                    took: t.elapsed(),
+                }
+            }
+            None => Self::Arcs,
+        }
+    }
+
+    /// Number of initial tasks.
+    pub(crate) fn len<V: GraphView>(&self, g: &V) -> usize {
+        match self {
+            Self::Arcs => g.num_arcs(),
+            Self::Edges(edges) | Self::HostFiltered { edges, .. } => edges.len(),
+            Self::Partials { data, stride } => data.len() / stride,
+        }
+    }
+
+    /// Loads task `i`'s prefix into `m` and returns its length, or
+    /// `None` when the edge filter rejects arc `i` (counted in `stats`).
+    pub(crate) fn seed<V: GraphView>(
+        &self,
+        g: &V,
+        plan: &QueryPlan,
+        i: usize,
+        m: &mut [u32],
+        stats: &mut RunStats,
+    ) -> Option<usize> {
+        let (v1, v2) = match self {
+            Self::Arcs => Some(g.arc(i)).filter(|&arc| admit(g, plan, arc, stats))?,
+            Self::Edges(edges) | Self::HostFiltered { edges, .. } => edges[i],
+            Self::Partials { data, stride } => {
+                m[..*stride].copy_from_slice(&data[i * stride..(i + 1) * stride]);
+                return Some(*stride);
+            }
+        };
+        m[0] = v1;
+        m[1] = v2;
+        Some(2)
+    }
+
+    /// Every initial task as one flat frontier, with its stride — the
+    /// first level of the BFS engines. Arcs the edge filter rejects are
+    /// counted in `stats`.
+    pub(crate) fn frontier<V: GraphView>(
+        &self,
+        g: &V,
+        plan: &QueryPlan,
+        stats: &mut RunStats,
+    ) -> (Vec<u32>, usize) {
+        let frontier = match self {
+            Self::Arcs => g
+                .arcs()
+                .filter(|&arc| admit(g, plan, arc, stats))
+                .flat_map(|(v1, v2)| [v1, v2])
+                .collect(),
+            Self::Edges(edges) | Self::HostFiltered { edges, .. } => {
+                edges.iter().flat_map(|&(v1, v2)| [v1, v2]).collect()
+            }
+            Self::Partials { data, stride } => return (data.clone(), *stride),
+        };
+        (frontier, 2)
+    }
+
+    /// The one edge-counting rule, applied to every finished run. The
+    /// arc stream's counters are what the in-warp filter counted as it
+    /// ran. A list is all admitted: a caller's list filters none, and
+    /// the host filter's list filtered the arcs it left out, in time
+    /// that counts as preprocessing inside `elapsed`.
+    pub(crate) fn account<V: GraphView>(&self, g: &V, result: &mut RunResult) {
+        let stats = &mut result.stats;
+        match self {
+            Self::Arcs | Self::Partials { .. } => {}
+            Self::Edges(edges) => stats.edges_admitted += edges.len() as u64,
+            Self::HostFiltered { edges, took } => {
+                stats.edges_admitted += edges.len() as u64;
+                stats.edges_filtered += (g.num_arcs() - edges.len()) as u64;
+                stats.host_preprocess += *took;
+                result.elapsed += *took;
+            }
+        }
+    }
+}
+
+/// The in-warp edge filter on one arc, counted in `stats`.
+fn admit<V: GraphView>(
+    g: &V,
+    plan: &QueryPlan,
+    (v1, v2): (u32, u32),
+    stats: &mut RunStats,
+) -> bool {
+    let admitted = edge_admitted(g, plan, v1, v2);
+    if admitted {
+        stats.edges_admitted += 1;
+    } else {
+        stats.edges_filtered += 1;
+    }
+    admitted
 }
 
 /// The four edge-filter conditions of §III ("Algorithm Optimizations"),
@@ -272,72 +345,206 @@ pub fn host_filter_edges<V: GraphView>(g: &V, plan: &QueryPlan) -> Vec<(u32, u32
     edges
 }
 
-/// Runs the timeout / no-steal / new-kernel strategies on one device,
-/// with fresh stacks.
+/// What every warp of a run reads, whichever engine runs it: the
+/// inputs, the initial-task source, the match total and the first-error
+/// cell, with the deadline and stop checks and the warp launcher.
+pub(crate) struct Run<'a, V: GraphView> {
+    pub(crate) g: &'a V,
+    pub(crate) plan: &'a QueryPlan,
+    pub(crate) cfg: &'a MatcherConfig,
+    pub(crate) device: &'a Device,
+    pub(crate) source: InitialSource,
+    /// Optional match consumer shared by all warps.
+    pub(crate) sink: Option<&'a dyn MatchSink>,
+    /// Warps waiting for work; the run ends once all of them are.
+    pub(crate) idle: AtomicUsize,
+    pub(crate) matches: AtomicU64,
+    error: ErrorCell,
+    start: Instant,
+    /// Wall-clock budget expiry.
+    deadline: Option<Instant>,
+}
+
+impl<'a, V: GraphView> Run<'a, V> {
+    pub(crate) fn new(
+        g: &'a V,
+        plan: &'a QueryPlan,
+        cfg: &'a MatcherConfig,
+        device: &'a Device,
+        source: InitialSource,
+        sink: Option<&'a dyn MatchSink>,
+    ) -> Self {
+        let start = Instant::now();
+        Self {
+            g,
+            plan,
+            cfg,
+            device,
+            source,
+            sink,
+            idle: AtomicUsize::new(0),
+            matches: AtomicU64::new(0),
+            error: ErrorCell(Mutex::new(None)),
+            start,
+            deadline: cfg.time_limit.map(|l| start + l),
+        }
+    }
+
+    /// Keeps the run's first error.
+    pub(crate) fn record_error(&self, e: EngineError) {
+        self.error.lock().get_or_insert(e);
+    }
+
+    pub(crate) fn failed(&self) -> bool {
+        self.error.lock().is_some()
+    }
+
+    /// Deadline check; records `TimeLimit` and returns `true` if expired.
+    pub(crate) fn over_deadline(&self) -> bool {
+        match self.deadline {
+            Some(d) if Instant::now() > d => {
+                self.record_error(EngineError::TimeLimit);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// External-cancellation check (no error is recorded: a cancelled
+    /// run completes with `Ok` and partial counts).
+    #[inline]
+    pub(crate) fn cancelled(&self) -> bool {
+        self.cfg.cancel_requested()
+    }
+
+    /// Emits a completed match to the sink, if any.
+    #[inline]
+    pub(crate) fn emit(&self, m: &[u32]) {
+        if let Some(sink) = self.sink {
+            sink.emit(m);
+        }
+    }
+
+    /// Runs `warp(w, scope)` for every warp `w` of the run and returns
+    /// their outputs in warp order. With several warps each gets a thread
+    /// and a [`PanicGuard`]; a single warp runs on the calling thread, so
+    /// a fine-grained caller (the durable layer runs one warp per shard)
+    /// pays no spawn. The scope outlives the warps, so they can spawn
+    /// child warps into it.
+    pub(crate) fn launch<'env, T, F>(&'env self, warp: &'env F) -> Vec<T>
+    where
+        T: Send + 'env,
+        F: for<'scope> Fn(usize, &'scope Scope<'scope, 'env>) -> T + Sync,
+    {
+        std::thread::scope(|scope| {
+            if self.cfg.num_warps == 1 {
+                return vec![warp(0, scope)];
+            }
+            let handles: Vec<_> = (0..self.cfg.num_warps)
+                .map(|w| {
+                    scope.spawn(move || {
+                        let _guard = PanicGuard(&self.error);
+                        warp(w, scope)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("warp panicked"))
+                .collect()
+        })
+    }
+
+    /// Ends the run: its first error, or its result, with every warp's
+    /// share folded into `stats` (merged lane-op counters, the busiest
+    /// warp's work as the makespan) and the source's edges counted.
+    pub(crate) fn finish(
+        self,
+        warps: &[RunStats],
+        mut stats: RunStats,
+    ) -> Result<RunResult, EngineError> {
+        if let Some(e) = self
+            .error
+            .0
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
+            return Err(e);
+        }
+        for w in warps {
+            stats.merge(w);
+        }
+        stats.cancelled = self.cfg.cancel_requested();
+        let mut result = RunResult {
+            matches: self.matches.into_inner(),
+            elapsed: self.start.elapsed(),
+            stats,
+        };
+        self.source.account(self.g, &mut result);
+        Ok(result)
+    }
+}
+
+/// A warp's share of its run's stats: `counted` holds what it counted
+/// as it ran (the arcs its edge filter admitted and rejected); added
+/// here are its lane-op counters, its work units as both makespan and
+/// total, and its stack levels' counters.
+pub(crate) fn warp_share<L: LevelStore>(
+    mut counted: RunStats,
+    ws: &Workspace,
+    levels: &[L],
+) -> RunStats {
+    let units = ws.warp.stats.work_units();
+    counted.warp = ws.warp.stats.clone();
+    counted.warp_makespan = units;
+    counted.warp_work_total = units;
+    counted.candidates_truncated = levels.iter().map(LevelStore::truncated).sum();
+    counted.page_faults = levels.iter().map(LevelStore::page_faults).sum();
+    counted.pages_spilled = levels.iter().map(LevelStore::spill_events).sum();
+    counted.candidates_spilled = levels.iter().map(LevelStore::spilled).sum();
+    counted
+}
+
+/// The timeout / new-kernel engine's run state: the shared [`Run`] plus
+/// the strategy's hooks and counters.
+struct SharedRun<'a, V: GraphView> {
+    run: Run<'a, V>,
+    stacks: &'a StackFactory,
+    clock: Clock,
+    tau_ns: Option<u64>,
+    fanout_threshold: Option<usize>,
+    timeouts: AtomicU64,
+    kernels: AtomicU64,
+    /// Work units of child-kernel warps (EGSM model), as stats shares.
+    children: Mutex<RunStats>,
+    /// Live child-kernel warps (bounded: a kernel storm would otherwise
+    /// exhaust OS threads; the cap itself models the paper's "many
+    /// active kernels … add burden to warp scheduling").
+    active_children: AtomicUsize,
+}
+
+/// Runs the timeout / no-steal / new-kernel strategies on one device
+/// over `source`. `HalfSteal` and `Bfs` have engines of their own.
 ///
-/// `edges`, when given, is an explicit pre-admitted initial-edge list (a
-/// durable shard, or seed edges) that no warp re-filters. Without it,
-/// `cfg.host_edge_filter` chooses between the host-filtered list and
-/// in-warp filtering of the arc stream. `HalfSteal` and `Bfs` have
-/// engines of their own.
+/// The run starts by rewinding `device` and restarting the arena's peak,
+/// so a device reused after a clean run reports exactly what a fresh one
+/// would (durable shard workers run every shard they lease on one
+/// resident device and stack arena). `stacks` must be resolved for a
+/// maximum degree of at least `g.max_degree()`, which sizes array
+/// stacks.
+#[allow(clippy::too_many_arguments)]
 pub fn run_on_device<V: GraphView>(
     g: &V,
     plan: &QueryPlan,
     cfg: &MatcherConfig,
     device: &Device,
-    clock: Clock,
-    edges: Option<Vec<(u32, u32)>>,
-    sink: Option<&dyn MatchSink>,
-) -> Result<RunResult, EngineError> {
-    let mut host_preprocess = std::time::Duration::ZERO;
-    let source = match edges {
-        Some(edges) => InitialSource::Edges(edges),
-        None if cfg.host_edge_filter => {
-            let t = Instant::now();
-            let edges = host_filter_edges(g, plan);
-            host_preprocess = t.elapsed();
-            InitialSource::Edges(edges)
-        }
-        None => InitialSource::Arcs,
-    };
-    let factory = StackFactory::for_config(cfg, g.max_degree());
-    run_on_device_from(
-        g,
-        plan,
-        cfg,
-        device,
-        &factory,
-        clock,
-        sink,
-        source,
-        host_preprocess,
-    )
-}
-
-/// Runs the warp engine over an explicit initial-task source (used by
-/// the hybrid BFS→DFS engine to hand over its switch-over frontier, and
-/// by durable shard workers, which run every shard they lease on one
-/// resident device and stack arena).
-///
-/// The run starts by rewinding `device` and restarting the arena's peak,
-/// so a device reused after a clean run reports exactly what a fresh one
-/// would. `factory` must be resolved for a maximum degree of at least
-/// `g.max_degree()`, which sizes array stacks.
-#[allow(clippy::too_many_arguments)]
-pub fn run_on_device_from<V: GraphView>(
-    g: &V,
-    plan: &QueryPlan,
-    cfg: &MatcherConfig,
-    device: &Device,
-    factory: &StackFactory,
+    stacks: &StackFactory,
     clock: Clock,
     sink: Option<&dyn MatchSink>,
     source: InitialSource,
-    host_preprocess: std::time::Duration,
 ) -> Result<RunResult, EngineError> {
-    let start = Instant::now();
     device.reset();
-    if let Some(arena) = factory.arena() {
+    if let Some(arena) = stacks.arena() {
         debug_assert_eq!(arena.pages_in_use(), 0, "arena pages held across runs");
         arena.restart_peak();
     }
@@ -352,111 +559,41 @@ pub fn run_on_device_from<V: GraphView>(
         InitialSource::Partials { stride, .. } if *stride > 2 => None,
         _ => tau_ns,
     };
-
     let shared = SharedRun {
-        g,
-        plan,
-        cfg,
-        device,
+        run: Run::new(g, plan, cfg, device, source, sink),
+        stacks,
         clock,
         tau_ns,
         fanout_threshold,
-        idle: AtomicUsize::new(0),
-        matches: AtomicU64::new(0),
         timeouts: AtomicU64::new(0),
         kernels: AtomicU64::new(0),
-        error: Mutex::new(None),
-        source,
-        deadline: cfg.time_limit.map(|l| start + l),
-        sink,
-        child_work: Mutex::new(Vec::new()),
+        children: Mutex::new(RunStats::default()),
         active_children: AtomicUsize::new(0),
     };
-
     let k = plan.k();
-
-    let mut stats = RunStats {
-        host_preprocess,
-        ..RunStats::default()
-    };
-
-    let warp_outputs: Vec<WarpOutput> = std::thread::scope(|scope| {
-        // A single-warp run executes on the calling thread — the scope
-        // exists only so timeout decomposition can still spawn child
-        // warps. This keeps fine-grained callers (the durable layer
-        // runs one engine warp per shard) free of a per-run spawn.
-        if cfg.num_warps == 1 {
-            let out = match factory {
-                StackFactory::Array { .. } => {
-                    let stack = WarpStack::<ArrayLevel>::new_array(factory, k);
-                    warp_main(&shared, factory, stack, scope)
-                }
-                StackFactory::Paged { .. } => {
-                    let stack = WarpStack::<PagedLevel>::new_paged(factory, k);
-                    warp_main(&shared, factory, stack, scope)
-                }
-            };
-            return vec![out];
-        }
-        let mut handles = Vec::with_capacity(cfg.num_warps);
-        for _ in 0..cfg.num_warps {
-            let shared = &shared;
-            handles.push(scope.spawn(move || {
-                let _guard = PanicGuard(&shared.error);
-                match factory {
-                    StackFactory::Array { .. } => {
-                        let stack = WarpStack::<ArrayLevel>::new_array(factory, k);
-                        warp_main(shared, factory, stack, scope)
-                    }
-                    StackFactory::Paged { .. } => {
-                        let stack = WarpStack::<PagedLevel>::new_paged(factory, k);
-                        warp_main(shared, factory, stack, scope)
-                    }
-                }
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("warp panicked"))
-            .collect()
+    let warps = shared.run.launch(&|_, scope| match stacks {
+        StackFactory::Array { .. } => warp_main(&shared, stacks.stack::<ArrayLevel>(k), scope),
+        StackFactory::Paged { .. } => warp_main(&shared, stacks.stack::<PagedLevel>(k), scope),
     });
 
-    if let Some(e) = shared.error.into_inner().expect("error mutex poisoned") {
-        return Err(e);
-    }
-
-    for out in &warp_outputs {
-        stats.warp.merge(&out.warp_stats);
-        stats.edges_admitted += out.edges_admitted;
-        stats.edges_filtered += out.edges_filtered;
-        stats.candidates_truncated += out.truncated;
-        stats.page_faults += out.page_faults;
-        stats.pages_spilled += out.spill_events;
-        stats.candidates_spilled += out.spilled;
-    }
-    if let InitialSource::Edges(edges) = &shared.source {
-        stats.edges_admitted = edges.len() as u64;
-        stats.edges_filtered = (g.num_arcs() - edges.len()) as u64;
-    }
-    {
-        let child = shared.child_work.lock().expect("child work poisoned");
-        let main_units = warp_outputs.iter().map(|o| o.warp_stats.work_units());
-        stats.warp_makespan = main_units.chain(child.iter().copied()).max().unwrap_or(0);
-        stats.warp_work_total = warp_outputs
-            .iter()
-            .map(|o| o.warp_stats.work_units())
-            .sum::<u64>()
-            + child.iter().sum::<u64>();
-    }
-    stats.cancelled = cfg.cancel_requested();
+    let SharedRun {
+        run,
+        timeouts,
+        kernels,
+        children,
+        ..
+    } = shared;
+    let mut stats = children
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     stats.tasks_enqueued = device.queue.total_enqueued();
     stats.tasks_dequeued = device.queue.total_dequeued();
     stats.queue_rejections = device.queue.total_rejected_full();
     stats.queue_peak = device.queue.peak_tasks();
-    stats.timeouts_fired = shared.timeouts.load(Ordering::Relaxed);
-    stats.kernels_launched = shared.kernels.load(Ordering::Relaxed);
+    stats.timeouts_fired = timeouts.into_inner();
+    stats.kernels_launched = kernels.into_inner();
     stats.queue_stall_yields = device.queue.total_stall_yields();
-    stats.stack_bytes_peak = match factory {
+    stats.stack_bytes_peak = match stacks {
         StackFactory::Array { capacity, .. } => cfg.num_warps * k * capacity * 4,
         StackFactory::Paged {
             arena, table_len, ..
@@ -464,24 +601,8 @@ pub fn run_on_device_from<V: GraphView>(
     };
     // Every warp stack has been dropped (the scope joined), so any page
     // still checked out of the arena has leaked.
-    stats.pages_leaked = factory.arena().map_or(0, |a| a.pages_in_use() as u64);
-
-    Ok(RunResult {
-        matches: shared.matches.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
-        stats,
-    })
-}
-
-/// Per-warp return payload.
-struct WarpOutput {
-    warp_stats: tdfs_gpu::warp::WarpStats,
-    edges_admitted: u64,
-    edges_filtered: u64,
-    truncated: u64,
-    page_faults: u64,
-    spill_events: u64,
-    spilled: u64,
+    stats.pages_leaked = stacks.arena().map_or(0, |a| a.pages_in_use() as u64);
+    run.finish(&warps, stats)
 }
 
 /// One unit of acquired work.
@@ -490,53 +611,47 @@ enum Work {
     Chunk(std::ops::Range<usize>),
 }
 
-fn warp_main<'scope, 'env, V: GraphView, L: LevelStore + StackMetrics>(
-    shared: &'scope SharedRun<'env, V>,
-    factory: &'scope StackFactory,
+fn warp_main<'scope, 'env, V: GraphView, L: FactoryLevel>(
+    shared: &'env SharedRun<'_, V>,
     mut stack: WarpStack<L>,
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-) -> WarpOutput
-where
-    StackFactory: MakeStack<L>,
-{
-    let mut ws = Workspace::with_simd(shared.cfg.simd);
-    let mut m = vec![0u32; shared.plan.k()];
+    scope: &'scope Scope<'scope, 'env>,
+) -> RunStats {
+    let run = &shared.run;
+    let mut ws = Workspace::for_config(run.cfg);
+    let mut m = vec![0u32; run.plan.k()];
     let mut local_matches = 0u64;
-    let mut edges_admitted = 0u64;
-    let mut edges_filtered = 0u64;
-    let num_warps = shared.cfg.num_warps;
-    let total = shared.initial_total();
+    let mut counted = RunStats::default();
+    let num_warps = run.cfg.num_warps;
+    let total = run.source.len(run.g);
     let mut registered_idle = false;
 
     'outer: loop {
-        if shared.failed() || shared.over_deadline() || shared.cancelled() {
+        if run.failed() || run.over_deadline() || run.cancelled() {
             break;
         }
         // ---- Work acquisition: queue first, then initial chunks. ----
         let work = loop {
-            if let Some(t) = shared.device.queue.dequeue() {
+            if let Some(t) = run.device.queue.dequeue() {
                 if registered_idle {
-                    shared.idle.fetch_sub(1, Ordering::SeqCst);
+                    run.idle.fetch_sub(1, Ordering::SeqCst);
                     registered_idle = false;
                 }
                 break Work::FromQueue(t);
             }
-            if let Some(r) = shared.device.next_chunk(total) {
+            if let Some(r) = run.device.next_chunk(total) {
                 if registered_idle {
-                    shared.idle.fetch_sub(1, Ordering::SeqCst);
+                    run.idle.fetch_sub(1, Ordering::SeqCst);
                     registered_idle = false;
                 }
                 break Work::Chunk(r);
             }
             if !registered_idle {
-                shared.idle.fetch_add(1, Ordering::SeqCst);
+                run.idle.fetch_add(1, Ordering::SeqCst);
                 registered_idle = true;
-            } else if shared.idle.load(Ordering::SeqCst) == num_warps
-                && shared.device.queue.is_empty()
-            {
+            } else if run.idle.load(Ordering::SeqCst) == num_warps && run.device.queue.is_empty() {
                 break 'outer;
             }
-            if shared.failed() || shared.cancelled() {
+            if run.failed() || run.cancelled() {
                 break 'outer;
             }
             std::thread::yield_now();
@@ -552,14 +667,7 @@ where
                     2
                 } else {
                     let v3 = task.v3 as u32;
-                    if !accept(
-                        shared.g,
-                        shared.plan,
-                        2,
-                        v3,
-                        &m,
-                        shared.cfg.fused_injectivity,
-                    ) {
+                    if !accept(run.g, run.plan, 2, v3, &m, run.cfg.fused_injectivity) {
                         continue;
                     }
                     m[2] = v3;
@@ -567,7 +675,6 @@ where
                 };
                 if let Err(e) = dfs(
                     shared,
-                    factory,
                     &mut stack,
                     &mut ws,
                     &mut m,
@@ -576,40 +683,21 @@ where
                     &mut local_matches,
                     scope,
                 ) {
-                    shared.record_error(e.into());
+                    run.record_error(e.into());
                 }
             }
             Work::Chunk(range) => {
                 let mut decomposing = false;
                 for local in range {
-                    if shared.cancelled() {
+                    if run.cancelled() {
                         break;
                     }
-                    let global = shared.device.global_index(local);
-                    let start_level = match &shared.source {
-                        InitialSource::Arcs => {
-                            let (v1, v2) = shared.g.arc(global);
-                            if !edge_admitted(shared.g, shared.plan, v1, v2) {
-                                edges_filtered += 1;
-                                continue;
-                            }
-                            edges_admitted += 1;
-                            m[0] = v1;
-                            m[1] = v2;
-                            2
-                        }
-                        InitialSource::Edges(edges) => {
-                            let (v1, v2) = edges[global];
-                            edges_admitted += 1;
-                            m[0] = v1;
-                            m[1] = v2;
-                            2
-                        }
-                        InitialSource::Partials { data, stride } => {
-                            m[..*stride]
-                                .copy_from_slice(&data[global * stride..(global + 1) * stride]);
-                            *stride
-                        }
+                    let global = run.device.global_index(local);
+                    let Some(start_level) =
+                        run.source
+                            .seed(run.g, run.plan, global, &mut m, &mut counted)
+                    else {
+                        continue;
                     };
                     // Timed-out chunk: push the remaining edges as
                     // 2-prefix tasks instead of running them (Fig. 5's
@@ -625,7 +713,7 @@ where
                             shared.timeouts.fetch_add(1, Ordering::Relaxed);
                             decomposing = true;
                         }
-                        if shared.device.queue.enqueue(Task::pair(m[0], m[1])) {
+                        if run.device.queue.enqueue(Task::pair(m[0], m[1])) {
                             continue;
                         }
                         // Queue full: reset t0, resume in place.
@@ -634,7 +722,6 @@ where
                     }
                     if let Err(e) = dfs(
                         shared,
-                        factory,
                         &mut stack,
                         &mut ws,
                         &mut m,
@@ -643,7 +730,7 @@ where
                         &mut local_matches,
                         scope,
                     ) {
-                        shared.record_error(e.into());
+                        run.record_error(e.into());
                         break;
                     }
                 }
@@ -651,46 +738,35 @@ where
         }
     }
 
-    shared.matches.fetch_add(local_matches, Ordering::Relaxed);
-    WarpOutput {
-        warp_stats: ws.warp.stats.clone(),
-        edges_admitted,
-        edges_filtered,
-        truncated: stack_truncated(&stack),
-        page_faults: stack_page_faults(&stack),
-        spill_events: stack_metric_sum(&stack, |l| l.level_spill_events()),
-        spilled: stack_metric_sum(&stack, |l| l.level_spilled()),
-    }
+    run.matches.fetch_add(local_matches, Ordering::Relaxed);
+    warp_share(counted, &ws, &stack.levels)
 }
 
 /// Iterative DFS from `start_level` with the timeout and new-kernel
 /// hooks. `m[..start_level]` must already hold the task prefix.
 #[allow(clippy::too_many_arguments)]
-fn dfs<'scope, 'env, V: GraphView, L: LevelStore + StackMetrics>(
-    shared: &'scope SharedRun<'env, V>,
-    factory: &'scope StackFactory,
+fn dfs<'scope, 'env, V: GraphView, L: FactoryLevel>(
+    shared: &'env SharedRun<'_, V>,
     stack: &mut WarpStack<L>,
     ws: &mut Workspace,
     m: &mut [u32],
     start_level: usize,
     t0: &mut u64,
     local_matches: &mut u64,
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-) -> Result<(), StackError>
-where
-    StackFactory: MakeStack<L>,
-{
-    let k = shared.plan.k();
+    scope: &'scope Scope<'scope, 'env>,
+) -> Result<(), StackError> {
+    let run = &shared.run;
+    let k = run.plan.k();
     if start_level == k {
         // The task prefix is already a complete match (k ≤ 3 patterns).
         *local_matches += 1;
-        shared.emit(&m[..k]);
+        run.emit(&m[..k]);
         return Ok(());
     }
-    if shared.cfg.fused_leaf && start_level + 1 == k {
+    if run.cfg.fused_leaf && start_level + 1 == k {
         // The whole task is one leaf: a single fused intersection counts
         // and emits without ever materializing `stack[k-1]`.
-        fused_leaf_task(shared, &stack.levels, ws, m, start_level, local_matches);
+        *local_matches += count_leaf(run.g, run.plan, m, &stack.levels, ws, start_level, run.sink);
         return Ok(());
     }
 
@@ -699,25 +775,21 @@ where
     // tiny tau cannot livelock on a persistently full queue.
     let mut grace = false;
     fill_level(
-        shared.g,
-        shared.plan,
+        run.g,
+        run.plan,
         level,
         m,
         &mut stack.levels,
         ws,
-        shared.cfg.ct_index,
         start_level,
     )?;
-    if !shared.cfg.fused_injectivity {
-        separate_injectivity_pass(&mut stack.levels[level], &m[..level], ws)?;
-    }
     stack.iters[level] = 0;
 
     // EGSM model: oversized fanout at the entry level dispatches a child
     // kernel that processes this whole level, and the parent backtracks.
     if let Some(threshold) = shared.fanout_threshold {
         if stack.levels[level].len() > threshold
-            && launch_child_kernel(shared, factory, m, level, &stack.levels[level], scope)
+            && launch_child_kernel(shared, m, level, &stack.levels[level], scope)
         {
             return Ok(());
         }
@@ -730,24 +802,17 @@ where
         // read every 64 Ki candidates for the deadline).
         steps = steps.wrapping_add(1);
         if steps & 0x3FF == 0 {
-            if shared.cancelled() {
+            if run.cancelled() {
                 return Ok(());
             }
-            if steps & 0xFFFF == 0 && shared.over_deadline() {
+            if steps & 0xFFFF == 0 && run.over_deadline() {
                 return Ok(());
             }
         }
         if stack.iters[level] < stack.levels[level].len() {
             let v = stack.levels[level].get(stack.iters[level]);
             stack.iters[level] += 1;
-            if !accept(
-                shared.g,
-                shared.plan,
-                level,
-                v,
-                m,
-                shared.cfg.fused_injectivity,
-            ) {
+            if !accept(run.g, run.plan, level, v, m, run.cfg.fused_injectivity) {
                 continue;
             }
             m[level] = v;
@@ -757,14 +822,12 @@ where
             // No-op off x86-64.
             if stack.iters[level] < stack.levels[level].len() {
                 tdfs_gpu::simd::prefetch_read(
-                    shared
-                        .g
-                        .neighbors(stack.levels[level].get(stack.iters[level])),
+                    run.g.neighbors(stack.levels[level].get(stack.iters[level])),
                 );
             }
             if level + 1 == k {
                 *local_matches += 1;
-                shared.emit(&m[..k]);
+                run.emit(&m[..k]);
                 continue;
             }
             // ---- Timeout hook (Alg. 4 lines 12–21): decompose instead
@@ -794,31 +857,28 @@ where
             // ---- Fused leaf (after the timeout hook so decomposition
             // still fires at shallow depths): the deepest level is one
             // filtered intersection instead of a fill + second pass. ----
-            if shared.cfg.fused_leaf && level + 2 == k {
-                fused_leaf_task(shared, &stack.levels, ws, m, start_level, local_matches);
-                if shared.cancelled() {
+            if run.cfg.fused_leaf && level + 2 == k {
+                *local_matches +=
+                    count_leaf(run.g, run.plan, m, &stack.levels, ws, start_level, run.sink);
+                if run.cancelled() {
                     return Ok(());
                 }
                 continue;
             }
             level += 1;
             fill_level(
-                shared.g,
-                shared.plan,
+                run.g,
+                run.plan,
                 level,
                 m,
                 &mut stack.levels,
                 ws,
-                shared.cfg.ct_index,
                 start_level,
             )?;
-            if !shared.cfg.fused_injectivity {
-                separate_injectivity_pass(&mut stack.levels[level], &m[..level], ws)?;
-            }
             stack.iters[level] = 0;
             if let Some(threshold) = shared.fanout_threshold {
                 if stack.levels[level].len() > threshold
-                    && launch_child_kernel(shared, factory, m, level, &stack.levels[level], scope)
+                    && launch_child_kernel(shared, m, level, &stack.levels[level], scope)
                 {
                     // Parent treats the level as handled and backtracks.
                     level -= 1;
@@ -834,57 +894,6 @@ where
     }
 }
 
-/// Runs the fused leaf for the full prefix `m[..k-1]`: one filtered
-/// intersection with the consumption predicate folded into the lanes,
-/// counting (and emitting) matches without materializing `stack[k-1]`.
-/// `valid_from` carries the same reuse-staleness meaning as in
-/// [`fill_level`].
-fn fused_leaf_task<V: GraphView, L: LevelStore>(
-    shared: &SharedRun<'_, V>,
-    levels: &[L],
-    ws: &mut Workspace,
-    m: &[u32],
-    valid_from: usize,
-    local_matches: &mut u64,
-) {
-    let k = shared.plan.k();
-    let head = &levels[..k - 1];
-    if shared.sink.is_some() {
-        // Assemble emitted matches in a workspace-resident buffer (taken
-        // out for the duration of the call — `ws` is busy inside).
-        let mut buf = std::mem::take(&mut ws.leaf_buf);
-        buf.clear();
-        buf.extend_from_slice(&m[..k - 1]);
-        buf.push(0);
-        fuse_leaf_level(
-            shared.g,
-            shared.plan,
-            m,
-            head,
-            ws,
-            shared.cfg.ct_index,
-            valid_from,
-            |v| {
-                *local_matches += 1;
-                buf[k - 1] = v;
-                shared.emit(&buf);
-            },
-        );
-        ws.leaf_buf = buf;
-    } else {
-        fuse_leaf_level(
-            shared.g,
-            shared.plan,
-            m,
-            head,
-            ws,
-            shared.cfg.ct_index,
-            valid_from,
-            |_| *local_matches += 1,
-        );
-    }
-}
-
 /// Enqueues every remaining candidate at `level` (starting from
 /// `iters[level]`) as a 3-prefix task — Fig. 5. If `Q_task` fills up,
 /// the offending candidate is put back and `t0` is reset so the caller
@@ -897,20 +906,14 @@ fn decompose_level<V: GraphView, L: LevelStore>(
     t0: &mut u64,
 ) -> bool {
     debug_assert!(level == 2, "decomposition happens at matched depth 3");
+    let run = &shared.run;
     while stack.iters[level] < stack.levels[level].len() {
         let w = stack.levels[level].get(stack.iters[level]);
         stack.iters[level] += 1;
-        if !accept(
-            shared.g,
-            shared.plan,
-            level,
-            w,
-            m,
-            shared.cfg.fused_injectivity,
-        ) {
+        if !accept(run.g, run.plan, level, w, m, run.cfg.fused_injectivity) {
             continue;
         }
-        if !shared.device.queue.enqueue(Task::triple(m[0], m[1], w)) {
+        if !run.device.queue.enqueue(Task::triple(m[0], m[1], w)) {
             // Queue full: put w back, reset t0, resume in place.
             stack.iters[level] -= 1;
             *t0 = shared.clock.now_ns();
@@ -928,21 +931,18 @@ const MAX_CHILD_WARPS: usize = 64;
 /// the measured launch cost the paper criticizes). Returns `false` —
 /// telling the caller to process the level in place — when the child
 /// budget is exhausted or the run has already failed.
-fn launch_child_kernel<'scope, 'env, V: GraphView, L: LevelStore + StackMetrics>(
-    shared: &'scope SharedRun<'env, V>,
-    factory: &'scope StackFactory,
+fn launch_child_kernel<'scope, 'env, V: GraphView, L: FactoryLevel>(
+    shared: &'env SharedRun<'_, V>,
     m: &[u32],
     level: usize,
     candidates: &L,
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-) -> bool
-where
-    StackFactory: MakeStack<L>,
-{
-    if shared.failed() {
+    scope: &'scope Scope<'scope, 'env>,
+) -> bool {
+    let run = &shared.run;
+    if run.failed() {
         return false;
     }
-    let k = shared.plan.k();
+    let k = run.plan.k();
     let n = candidates.len();
     // One child warp per 32 candidates, capped at 32 warps (the paper's
     // example: fanout 1024 → 32 warps × 32 vertices).
@@ -965,37 +965,29 @@ where
         let chunk = chunk.to_vec();
         let prefix = prefix.clone();
         scope.spawn(move || {
-            let _guard = PanicGuard(&shared.error);
+            let _guard = PanicGuard(&run.error);
             // The launch cost: a brand-new stack allocation per child.
-            let mut stack: WarpStack<L> = factory.make_stack(k);
-            let mut ws = Workspace::with_simd(shared.cfg.simd);
+            let mut stack: WarpStack<L> = shared.stacks.stack(k);
+            let mut ws = Workspace::for_config(run.cfg);
             let mut m = vec![0u32; k];
             m[..prefix.len()].copy_from_slice(&prefix);
             let mut local = 0u64;
             let mut t0 = shared.clock.now_ns();
             for v in chunk {
-                if shared.cancelled() {
+                if run.cancelled() {
                     break;
                 }
-                if !accept(
-                    shared.g,
-                    shared.plan,
-                    level,
-                    v,
-                    &m,
-                    shared.cfg.fused_injectivity,
-                ) {
+                if !accept(run.g, run.plan, level, v, &m, run.cfg.fused_injectivity) {
                     continue;
                 }
                 m[level] = v;
                 if level + 1 == k {
                     local += 1;
-                    shared.emit(&m[..k]);
+                    run.emit(&m[..k]);
                     continue;
                 }
                 if let Err(e) = dfs(
                     shared,
-                    factory,
                     &mut stack,
                     &mut ws,
                     &mut m,
@@ -1004,95 +996,21 @@ where
                     &mut local,
                     scope,
                 ) {
-                    shared.record_error(e.into());
+                    run.record_error(e.into());
                     break;
                 }
             }
-            shared.matches.fetch_add(local, Ordering::Relaxed);
-            shared
-                .child_work
-                .lock()
-                .expect("child work poisoned")
-                .push(ws.warp.stats.work_units());
+            run.matches.fetch_add(local, Ordering::Relaxed);
+            // A child's work counts toward the makespan and the total;
+            // its lane-op counters stay its own.
+            let units = ws.warp.stats.work_units();
+            lock(&shared.children).merge(&RunStats {
+                warp_makespan: units,
+                warp_work_total: units,
+                ..RunStats::default()
+            });
             shared.active_children.fetch_sub(1, Ordering::AcqRel);
         });
     }
     true
-}
-
-/// Uniform metric access across stack-level backends.
-pub trait StackMetrics {
-    /// Candidates silently dropped by this level (truncating arrays).
-    fn level_truncated(&self) -> u64 {
-        0
-    }
-    /// Page faults served by this level (paged levels).
-    fn level_page_faults(&self) -> u64 {
-        0
-    }
-    /// Times this level degraded to its heap spill (paged levels with
-    /// spill enabled).
-    fn level_spill_events(&self) -> u64 {
-        0
-    }
-    /// Candidates written to the heap spill (paged levels).
-    fn level_spilled(&self) -> u64 {
-        0
-    }
-}
-
-impl StackMetrics for ArrayLevel {
-    fn level_truncated(&self) -> u64 {
-        self.truncated()
-    }
-}
-
-impl StackMetrics for PagedLevel {
-    fn level_page_faults(&self) -> u64 {
-        self.page_faults()
-    }
-    fn level_spill_events(&self) -> u64 {
-        self.spill_events()
-    }
-    fn level_spilled(&self) -> u64 {
-        self.spilled()
-    }
-}
-
-/// Sums a metric across a stack's levels.
-fn stack_truncated<L: LevelStore + StackMetrics>(stack: &WarpStack<L>) -> u64 {
-    stack.levels.iter().map(StackMetrics::level_truncated).sum()
-}
-
-fn stack_page_faults<L: LevelStore + StackMetrics>(stack: &WarpStack<L>) -> u64 {
-    stack
-        .levels
-        .iter()
-        .map(StackMetrics::level_page_faults)
-        .sum()
-}
-
-fn stack_metric_sum<L: LevelStore + StackMetrics>(
-    stack: &WarpStack<L>,
-    metric: fn(&L) -> u64,
-) -> u64 {
-    stack.levels.iter().map(metric).sum()
-}
-
-/// Factory trait tying a [`StackFactory`] to a concrete level type.
-pub trait MakeStack<L: LevelStore> {
-    /// Builds a `k`-level stack.
-    fn make_stack(&self, k: usize) -> WarpStack<L>;
-}
-
-impl MakeStack<ArrayLevel> for StackFactory {
-    fn make_stack(&self, k: usize) -> WarpStack<ArrayLevel> {
-        WarpStack::new_array(self, k)
-    }
-}
-
-impl MakeStack<PagedLevel> for StackFactory {
-    fn make_stack(&self, k: usize) -> WarpStack<PagedLevel> {
-        WarpStack::new_paged(self, k)
-    }
 }

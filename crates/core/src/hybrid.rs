@@ -20,27 +20,22 @@ use tdfs_gpu::Clock;
 use tdfs_graph::GraphView;
 use tdfs_query::plan::QueryPlan;
 
-use crate::bfs::candidates_of;
+use crate::bfs::{extend, upper_bound};
 use crate::candidates::Workspace;
-use crate::config::MatcherConfig;
-use crate::engine::{edge_admitted, run_on_device_from, EngineError, InitialSource};
+use crate::config::{MatcherConfig, Strategy, DEFAULT_TAU};
+use crate::engine::{run_on_device, EngineError, InitialSource};
 use crate::sink::MatchSink;
 use crate::stack::StackFactory;
-use crate::stats::RunResult;
+use crate::stats::{RunResult, RunStats};
 
-/// Runs the hybrid engine: BFS while the next level fits in
-/// `budget_bytes`, then DFS over the frontier.
-///
-/// `edges`, when given, seeds the first frontier from an explicit
-/// pre-admitted edge list (a durable shard, or seed edges) instead of
-/// the filtered arc stream. The edges must already satisfy
-/// [`edge_admitted`].
+/// Runs the hybrid engine over `source`: BFS while the next level fits
+/// in `budget_bytes`, then DFS over the frontier.
 pub fn run<V: GraphView>(
     g: &V,
     plan: &QueryPlan,
     cfg: &MatcherConfig,
     budget_bytes: usize,
-    edges: Option<&[(u32, u32)]>,
+    source: InitialSource,
     sink: Option<&dyn MatchSink>,
 ) -> Result<RunResult, EngineError> {
     let start = Instant::now();
@@ -48,26 +43,9 @@ pub fn run<V: GraphView>(
     let deadline = cfg.time_limit.map(|l| start + l);
 
     // ---- Phase 1: BFS expansion under the memory budget. ----
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut edges_filtered = 0u64;
-    if let Some(edges) = edges {
-        for &(u, v) in edges {
-            frontier.push(u);
-            frontier.push(v);
-        }
-    } else {
-        for (u, v) in g.arcs() {
-            if edge_admitted(g, plan, u, v) {
-                frontier.push(u);
-                frontier.push(v);
-            } else {
-                edges_filtered += 1;
-            }
-        }
-    }
-    let mut stride = 2usize;
-    let mut bfs_levels = 0u64;
-    let mut ws = Workspace::with_simd(cfg.simd);
+    let mut bfs_stats = RunStats::default();
+    let (mut frontier, mut stride) = source.frontier(g, plan, &mut bfs_stats);
+    let mut ws = Workspace::for_config(cfg);
 
     while stride < k {
         // Cancellation during the BFS phase: fall through to the DFS
@@ -82,18 +60,9 @@ pub fn run<V: GraphView>(
             }
         }
         // PBE-style upper bound for the next frontier.
-        let level = stride;
-        let num_partials = frontier.len() / stride;
         let mut est_bytes = 0usize;
-        for p in 0..num_partials {
-            let m = &frontier[p * stride..(p + 1) * stride];
-            let ub = plan.levels[level]
-                .backward
-                .iter()
-                .map(|&b| g.degree(m[b]))
-                .min()
-                .unwrap_or(0);
-            est_bytes += ub * (stride + 1) * 4;
+        for m in frontier.chunks_exact(stride) {
+            est_bytes += upper_bound(g, plan, m) * (stride + 1) * 4;
             if est_bytes > budget_bytes {
                 break;
             }
@@ -105,7 +74,7 @@ pub fn run<V: GraphView>(
         }
         // Materialize the next level breadth-first.
         let mut next = Vec::new();
-        let mut cands = Vec::new();
+        let num_partials = frontier.len() / stride;
         for p in 0..num_partials {
             let m = &frontier[p * stride..(p + 1) * stride];
             // Locality: warm the next partial's newest vertex row while
@@ -113,34 +82,33 @@ pub fn run<V: GraphView>(
             if p + 1 < num_partials {
                 tdfs_gpu::simd::prefetch_read(g.neighbors(frontier[(p + 2) * stride - 1]));
             }
-            candidates_of(g, plan, level, m, &mut ws, &mut cands);
-            for &v in &cands {
+            extend(g, plan, m, &mut ws, |v| {
                 next.extend_from_slice(m);
                 next.push(v);
-            }
+            });
         }
         frontier = next;
         stride += 1;
-        bfs_levels += 1;
+        bfs_stats.bfs_batches += 1;
         if frontier.is_empty() {
             break;
         }
     }
 
     // ---- Phase 2: DFS over the frontier as initial tasks. ----
-    let device = Device::in_group(0, 1, cfg.num_warps, cfg.chunk_size, cfg.queue_capacity);
+    let device = Device::in_group(0, 1, cfg.chunk_size, cfg.queue_capacity);
     // Remaining time budget only.
     let dfs_cfg = MatcherConfig {
         time_limit: cfg.time_limit.map(|l| l.saturating_sub(start.elapsed())),
-        strategy: crate::config::Strategy::Timeout {
+        strategy: Strategy::Timeout {
             tau: match cfg.strategy {
-                crate::config::Strategy::Timeout { tau } => tau,
-                _ => Some(crate::config::DEFAULT_TAU),
+                Strategy::Timeout { tau } => tau,
+                _ => Some(DEFAULT_TAU),
             },
         },
         ..cfg.clone()
     };
-    let mut result = run_on_device_from(
+    let mut result = run_on_device(
         g,
         plan,
         &dfs_cfg,
@@ -152,12 +120,11 @@ pub fn run<V: GraphView>(
             data: frontier,
             stride,
         },
-        std::time::Duration::ZERO,
     )?;
     result.elapsed = start.elapsed();
-    result.stats.bfs_batches = bfs_levels;
-    result.stats.warp.merge(&ws.warp.stats);
-    result.stats.edges_filtered += edges_filtered;
+    bfs_stats.warp = ws.warp.stats.clone();
+    result.stats.merge(&bfs_stats);
+    source.account(g, &mut result);
     Ok(result)
 }
 
@@ -172,7 +139,7 @@ mod tests {
         let g = barabasi_albert(300, 4, 17);
         let plan = QueryPlan::build(&PatternId(pid).pattern());
         let cfg = MatcherConfig::tdfs().with_warps(3);
-        let r = run(&g, &plan, &cfg, budget, None, None).unwrap();
+        let r = run(&g, &plan, &cfg, budget, InitialSource::Arcs, None).unwrap();
         assert_eq!(r.matches, reference_count(&g, &plan), "P{pid} @ {budget}");
     }
 
@@ -202,7 +169,7 @@ mod tests {
         let g = g.with_labels(tdfs_graph::generators::random_labels(n, 4, 19));
         let plan = QueryPlan::build(&PatternId(14).pattern());
         let cfg = MatcherConfig::tdfs().with_warps(2);
-        let r = run(&g, &plan, &cfg, 1 << 12, None, None).unwrap();
+        let r = run(&g, &plan, &cfg, 1 << 12, InitialSource::Arcs, None).unwrap();
         assert_eq!(r.matches, reference_count(&g, &plan));
     }
 }

@@ -11,8 +11,18 @@
 //! - **new-kernel** splitting of oversized fanouts — the EGSM model
 //!   (hooked into [`engine`]);
 //! - **BFS** with pipelined memory batching — the PBE model ([`bfs`]);
+//! - the **hybrid** BFS→DFS engine of the paper's future work
+//!   ([`hybrid`]);
 //! - a serial recursive [`mod@reference`] matcher (ground truth);
 //! - [`multi`]-device round-robin execution.
+//!
+//! The five engines share one scaffold, so each differs only where the
+//! paper says it does (load balancing, stack layout, and PBE's
+//! count-then-fill): one Eq. (1) walk ([`candidates`]), one
+//! initial-task source with one edge-counting rule
+//! ([`engine::InitialSource`]), and one warp harness in [`engine`]
+//! (first-error cell, deadline, and a launcher that runs a single warp
+//! inline).
 //!
 //! ## Quickstart
 //!
@@ -139,8 +149,9 @@ pub fn match_plan_on_edges<V: GraphView>(
     run_engine(g, plan, cfg, Some(edges), sink)
 }
 
-/// The one place a [`Strategy`] picks its engine. `edges` is an
-/// optional pre-admitted initial-edge list (`None` = the whole graph).
+/// The one place a [`Strategy`] picks its engine, and the initial tasks
+/// pick their [`engine::InitialSource`]. `edges` is an optional
+/// pre-admitted initial-edge list (`None` = the whole graph).
 fn run_engine<V: GraphView>(
     g: &V,
     plan: &QueryPlan,
@@ -148,17 +159,23 @@ fn run_engine<V: GraphView>(
     edges: Option<Vec<(u32, u32)>>,
     sink: Option<&dyn sink::MatchSink>,
 ) -> Result<RunResult, EngineError> {
-    let device = || Device::in_group(0, 1, cfg.num_warps, cfg.chunk_size, cfg.queue_capacity);
+    let device = || Device::in_group(0, 1, cfg.chunk_size, cfg.queue_capacity);
+    let source = engine::InitialSource::choose(g, plan, cfg, edges);
     match cfg.strategy {
-        Strategy::Timeout { .. } | Strategy::NewKernel { .. } => {
-            engine::run_on_device(g, plan, cfg, &device(), Clock::real(), edges, sink)
-        }
-        Strategy::HalfSteal => half_steal::run(g, plan, cfg, &device(), edges, sink),
-        Strategy::Bfs { budget_bytes } => {
-            bfs::run(g, plan, cfg, budget_bytes, edges.as_deref(), sink)
-        }
+        Strategy::Timeout { .. } | Strategy::NewKernel { .. } => engine::run_on_device(
+            g,
+            plan,
+            cfg,
+            &device(),
+            &stack::StackFactory::for_config(cfg, g.max_degree()),
+            Clock::real(),
+            sink,
+            source,
+        ),
+        Strategy::HalfSteal => half_steal::run(g, plan, cfg, &device(), source, sink),
+        Strategy::Bfs { budget_bytes } => bfs::run(g, plan, cfg, budget_bytes, source, sink),
         Strategy::Hybrid { budget_bytes, .. } => {
-            hybrid::run(g, plan, cfg, budget_bytes, edges.as_deref(), sink)
+            hybrid::run(g, plan, cfg, budget_bytes, source, sink)
         }
     }
 }

@@ -13,7 +13,8 @@ use tdfs_graph::GraphView;
 use tdfs_query::plan::QueryPlan;
 
 use crate::config::{MatcherConfig, Strategy};
-use crate::engine::{run_on_device, EngineError};
+use crate::engine::{run_on_device, EngineError, InitialSource};
+use crate::stack::StackFactory;
 use crate::stats::{RunResult, RunStats};
 
 /// Result of a multi-device run.
@@ -58,14 +59,10 @@ pub fn run_multi_device<V: GraphView>(
         let mut handles = Vec::with_capacity(num_devices);
         for d in 0..num_devices {
             handles.push(scope.spawn(move || {
-                let device = Device::in_group(
-                    d,
-                    num_devices,
-                    cfg.num_warps,
-                    cfg.chunk_size,
-                    cfg.queue_capacity,
-                );
-                run_on_device(g, plan, cfg, &device, Clock::real(), None, None)
+                let device = Device::in_group(d, num_devices, cfg.chunk_size, cfg.queue_capacity);
+                let stacks = StackFactory::for_config(cfg, g.max_degree());
+                let source = InitialSource::choose(g, plan, cfg, None);
+                run_on_device(g, plan, cfg, &device, &stacks, Clock::real(), None, source)
             }));
         }
         handles

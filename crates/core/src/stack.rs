@@ -33,12 +33,6 @@ pub enum StackFactory {
 }
 
 impl StackFactory {
-    /// Resolves a [`StackConfig`] for a graph with maximum degree
-    /// `d_max`, allocating the shared arena for paged stacks.
-    pub fn resolve(cfg: &StackConfig, d_max: usize) -> Self {
-        Self::resolve_budgeted(cfg, d_max, None)
-    }
-
     /// The factory a run under `cfg` uses on a graph of maximum degree
     /// `d_max`: `cfg`'s stack layout, with its memory budget scope
     /// charged for every arena page.
@@ -46,11 +40,12 @@ impl StackFactory {
         Self::resolve_budgeted(&cfg.stack, d_max, cfg.memory_budget.clone())
     }
 
-    /// Like [`resolve`](Self::resolve), but a paged arena additionally
-    /// charges every page against `budget` (e.g. a per-query scope of a
-    /// service-wide budget): a denied charge behaves exactly like arena
-    /// exhaustion. Ignored for array stacks, whose reservation is fixed
-    /// up front.
+    /// Resolves a [`StackConfig`] for a graph with maximum degree
+    /// `d_max`, allocating the shared arena for paged stacks. A paged
+    /// arena charges every page against `budget` when one is given (e.g.
+    /// a per-query scope of a service-wide budget): a denied charge
+    /// behaves exactly like arena exhaustion. Ignored for array stacks,
+    /// whose reservation is fixed up front.
     pub fn resolve_budgeted(cfg: &StackConfig, d_max: usize, budget: Option<MemoryBudget>) -> Self {
         match *cfg {
             StackConfig::Array { capacity, policy } => StackFactory::Array {
@@ -72,20 +67,49 @@ impl StackFactory {
         }
     }
 
-    /// Bytes reserved per array level (0 for paged — paged usage is read
-    /// off the arena's peak instead).
-    pub fn array_bytes_per_level(&self) -> usize {
-        match self {
-            StackFactory::Array { capacity, .. } => capacity * 4,
-            StackFactory::Paged { .. } => 0,
-        }
-    }
-
     /// The shared arena, when paged.
     pub fn arena(&self) -> Option<&Arc<PageArena>> {
         match self {
             StackFactory::Paged { arena, .. } => Some(arena),
             StackFactory::Array { .. } => None,
+        }
+    }
+
+    /// Builds a `k`-level stack of `L` levels; `L` must be the factory's
+    /// layout.
+    pub fn stack<L: FactoryLevel>(&self, k: usize) -> WarpStack<L> {
+        WarpStack {
+            levels: (0..k).map(|_| L::from_factory(self)).collect(),
+            iters: vec![0; k],
+        }
+    }
+}
+
+/// A level type a [`StackFactory`] builds.
+pub trait FactoryLevel: LevelStore + Sized {
+    /// One empty level of the factory's layout. Panics when the factory
+    /// holds the other layout.
+    fn from_factory(factory: &StackFactory) -> Self;
+}
+
+impl FactoryLevel for ArrayLevel {
+    fn from_factory(factory: &StackFactory) -> Self {
+        match factory {
+            StackFactory::Array { capacity, policy } => ArrayLevel::new(*capacity, *policy),
+            StackFactory::Paged { .. } => panic!("factory is paged"),
+        }
+    }
+}
+
+impl FactoryLevel for PagedLevel {
+    fn from_factory(factory: &StackFactory) -> Self {
+        match factory {
+            StackFactory::Paged {
+                arena,
+                table_len,
+                spill,
+            } => PagedLevel::with_table_len(arena.clone(), *table_len).with_spill(*spill),
+            StackFactory::Array { .. } => panic!("factory is array"),
         }
     }
 }
@@ -98,97 +122,48 @@ pub struct WarpStack<L: LevelStore> {
     pub iters: Vec<usize>,
 }
 
-impl WarpStack<ArrayLevel> {
-    /// Builds an array-backed stack from the factory.
-    pub fn new_array(factory: &StackFactory, k: usize) -> Self {
-        match factory {
-            StackFactory::Array { capacity, policy } => Self {
-                levels: (0..k)
-                    .map(|_| ArrayLevel::new(*capacity, *policy))
-                    .collect(),
-                iters: vec![0; k],
-            },
-            StackFactory::Paged { .. } => panic!("factory is paged"),
-        }
-    }
-}
-
-impl WarpStack<PagedLevel> {
-    /// Builds a paged stack from the factory.
-    pub fn new_paged(factory: &StackFactory, k: usize) -> Self {
-        match factory {
-            StackFactory::Paged {
-                arena,
-                table_len,
-                spill,
-            } => Self {
-                levels: (0..k)
-                    .map(|_| {
-                        PagedLevel::with_table_len(arena.clone(), *table_len).with_spill(*spill)
-                    })
-                    .collect(),
-                iters: vec![0; k],
-            },
-            StackFactory::Array { .. } => panic!("factory is array"),
-        }
-    }
-}
-
-impl WarpStack<ArrayLevel> {
-    /// Candidates silently dropped across all levels.
-    pub fn truncated_array(&self) -> u64 {
-        self.levels.iter().map(|l| l.truncated()).sum()
-    }
-}
-
-impl WarpStack<PagedLevel> {
-    /// Page faults served across all levels.
-    pub fn page_faults_paged(&self) -> u64 {
-        self.levels.iter().map(|l| l.page_faults()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn resolve_array_dmax() {
-        let f = StackFactory::resolve(
+        let f = StackFactory::resolve_budgeted(
             &StackConfig::Array {
                 capacity: ArrayCapacity::DMax,
                 policy: OverflowPolicy::Error,
             },
             500,
+            None,
         );
         match &f {
             StackFactory::Array { capacity, .. } => assert_eq!(*capacity, 500),
             _ => panic!(),
         }
-        assert_eq!(f.array_bytes_per_level(), 2000);
         assert!(f.arena().is_none());
-        let s = WarpStack::new_array(&f, 5);
+        let s = f.stack::<ArrayLevel>(5);
         assert_eq!(s.levels.len(), 5);
         assert_eq!(s.iters, vec![0; 5]);
     }
 
     #[test]
     fn resolve_paged_shares_arena() {
-        let f = StackFactory::resolve(
+        let f = StackFactory::resolve_budgeted(
             &StackConfig::Paged {
                 arena_pages: 16,
                 table_len: 4,
                 spill: false,
             },
             500,
+            None,
         );
         let arena = f.arena().unwrap().clone();
-        let mut s1 = WarpStack::new_paged(&f, 3);
-        let mut s2 = WarpStack::new_paged(&f, 3);
+        let mut s1 = f.stack::<PagedLevel>(3);
+        let mut s2 = f.stack::<PagedLevel>(3);
         s1.levels[0].push(1).unwrap();
         s2.levels[0].push(2).unwrap();
         assert_eq!(arena.pages_in_use(), 2, "both stacks draw from one arena");
-        assert_eq!(s1.page_faults_paged(), 1);
+        assert_eq!(s1.levels[0].page_faults(), 1);
     }
 
     #[test]
@@ -203,7 +178,7 @@ mod tests {
             500,
             Some(budget.scoped()),
         );
-        let mut s = WarpStack::new_paged(&f, 3);
+        let mut s = f.stack::<PagedLevel>(3);
         s.levels[0].push(1).unwrap();
         assert_eq!(budget.in_use_pages(), 1, "arena page charged upstream");
         s.levels[0].release();
@@ -213,14 +188,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "factory is paged")]
     fn mismatched_factory_panics() {
-        let f = StackFactory::resolve(
+        let f = StackFactory::resolve_budgeted(
             &StackConfig::Paged {
                 arena_pages: 4,
                 table_len: 2,
                 spill: false,
             },
             10,
+            None,
         );
-        let _ = WarpStack::new_array(&f, 2);
+        let _ = f.stack::<ArrayLevel>(2);
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tdfs_core::config::{MatcherConfig, StackConfig};
-use tdfs_core::engine::{run_on_device_from, InitialSource};
+use tdfs_core::engine::{run_on_device, InitialSource};
 use tdfs_core::stack::StackFactory;
 use tdfs_core::{host_filter_edges, reference_count, FnSink, MatchSink, RunResult};
 use tdfs_gpu::device::Device;
@@ -22,7 +22,7 @@ const MOTIFS: [u8; 9] = [1, 2, 3, 4, 5, 6, 7, 9, 10];
 type Edges = [(u32, u32)];
 
 fn device(cfg: &MatcherConfig) -> Device {
-    Device::in_group(0, 1, cfg.num_warps, cfg.chunk_size, cfg.queue_capacity)
+    Device::in_group(0, 1, cfg.chunk_size, cfg.queue_capacity)
 }
 
 fn stacks(g: &CsrGraph, cfg: &MatcherConfig) -> StackFactory {
@@ -43,7 +43,7 @@ fn run_shard(
     let clock = Clock::mock();
     let tick = clock.clone();
     let sink = FnSink(move |_: &[u32]| tick.advance(1));
-    run_on_device_from(
+    run_on_device(
         g,
         plan,
         cfg,
@@ -52,7 +52,6 @@ fn run_shard(
         clock,
         ticking.then_some(&sink as &dyn MatchSink),
         InitialSource::Edges(shard.to_vec()),
-        Duration::ZERO,
     )
     .expect("shard run failed")
 }

@@ -35,7 +35,7 @@ fn a_panicking_warp_ends_the_run_on_every_strategy() {
         ("hybrid", MatcherConfig::hybrid()),
     ];
     for (name, cfg) in configs {
-        for warps in [2, 4] {
+        for warps in [1, 2, 4] {
             let cfg = cfg.clone().with_warps(warps);
             let (done, ended) = mpsc::channel();
             std::thread::spawn(move || {

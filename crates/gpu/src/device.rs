@@ -1,7 +1,7 @@
 //! Device abstraction and multi-device partitioning.
 //!
-//! A device groups `num_warps` warps, owns one shared [`TaskQueue`] and
-//! one chunked initial-task cursor ("every idle warp will obtain the next
+//! A device owns one shared [`TaskQueue`] and one chunked initial-task
+//! cursor that its warps draw from ("every idle warp will obtain the next
 //! available chunk of initial tasks … the default chunk size is 8",
 //! paper §III). Multi-GPU execution partitions the initial edges
 //! round-robin: "the *i*-th edge is assigned to the
@@ -28,8 +28,6 @@ pub struct Device {
     pub id: usize,
     /// Number of devices in the group (round-robin stride).
     pub group_size: usize,
-    /// Warps launched on this device.
-    pub num_warps: usize,
     /// Initial-task chunk size.
     pub chunk_size: usize,
     /// The device's shared lock-free task queue.
@@ -38,25 +36,19 @@ pub struct Device {
 }
 
 impl Device {
-    /// Creates a standalone device (group of one).
-    pub fn new(num_warps: usize) -> Self {
-        Self::in_group(0, 1, num_warps, DEFAULT_CHUNK_SIZE, DEFAULT_QUEUE_CAPACITY)
-    }
-
-    /// Creates a device within a group.
+    /// Creates device `id` of a group of `group_size` (a standalone
+    /// device is `in_group(0, 1, ..)`).
     pub fn in_group(
         id: usize,
         group_size: usize,
-        num_warps: usize,
         chunk_size: usize,
         queue_capacity: usize,
     ) -> Self {
         assert!(group_size >= 1 && id < group_size);
-        assert!(num_warps >= 1 && chunk_size >= 1);
+        assert!(chunk_size >= 1);
         Self {
             id,
             group_size,
-            num_warps,
             chunk_size,
             queue: TaskQueue::new(queue_capacity),
             cursor: AtomicUsize::new(0),
@@ -100,51 +92,18 @@ impl Device {
     }
 }
 
-/// A group of devices processing one job (paper Fig. 12: 1–4 GPUs).
-pub struct DeviceGroup {
-    /// The member devices.
-    pub devices: Vec<Device>,
-}
-
-impl DeviceGroup {
-    /// Creates `n` devices with `num_warps` warps each.
-    pub fn new(n: usize, num_warps: usize) -> Self {
-        Self::with_config(n, num_warps, DEFAULT_CHUNK_SIZE, DEFAULT_QUEUE_CAPACITY)
-    }
-
-    /// Creates a group with explicit chunk size and queue capacity.
-    pub fn with_config(
-        n: usize,
-        num_warps: usize,
-        chunk_size: usize,
-        queue_capacity: usize,
-    ) -> Self {
-        assert!(n >= 1);
-        let devices = (0..n)
-            .map(|id| Device::in_group(id, n, num_warps, chunk_size, queue_capacity))
-            .collect();
-        Self { devices }
-    }
-
-    /// Number of devices.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Whether the group is empty (never true: constructor requires ≥ 1).
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    fn standalone() -> Device {
+        Device::in_group(0, 1, DEFAULT_CHUNK_SIZE, DEFAULT_QUEUE_CAPACITY)
+    }
+
     #[test]
     fn chunks_cover_partition_exactly_once() {
-        let d = Device::in_group(1, 3, 4, 8, 16);
+        let d = Device::in_group(1, 3, 8, 16);
         let total = 103;
         let mut seen = Vec::new();
         while let Some(r) = d.next_chunk(total) {
@@ -159,10 +118,10 @@ mod tests {
 
     #[test]
     fn group_partitions_are_disjoint_and_complete() {
-        let g = DeviceGroup::with_config(4, 2, 5, 16);
+        let group: Vec<Device> = (0..4).map(|id| Device::in_group(id, 4, 5, 16)).collect();
         let total = 57;
         let mut all = HashSet::new();
-        for d in &g.devices {
+        for d in &group {
             while let Some(r) = d.next_chunk(total) {
                 for local in r {
                     assert!(all.insert(d.global_index(local)), "duplicate assignment");
@@ -174,15 +133,16 @@ mod tests {
 
     #[test]
     fn local_count_balanced() {
-        let g = DeviceGroup::new(4, 1);
-        let counts: Vec<usize> = g.devices.iter().map(|d| d.local_task_count(10)).collect();
+        let counts: Vec<usize> = (0..4)
+            .map(|id| Device::in_group(id, 4, DEFAULT_CHUNK_SIZE, 16).local_task_count(10))
+            .collect();
         assert_eq!(counts, vec![3, 3, 2, 2]);
         assert_eq!(counts.iter().sum::<usize>(), 10);
     }
 
     #[test]
     fn concurrent_chunk_claims_disjoint() {
-        let d = std::sync::Arc::new(Device::new(4));
+        let d = std::sync::Arc::new(standalone());
         let total = 10_000;
         let mut handles = Vec::new();
         for _ in 0..4 {
@@ -205,7 +165,7 @@ mod tests {
 
     #[test]
     fn reset_restarts_cursor() {
-        let d = Device::new(1);
+        let d = standalone();
         assert!(d.next_chunk(4).is_some());
         while d.next_chunk(4).is_some() {}
         assert!(d.queue.enqueue(crate::queue::Task::pair(1, 2)));

@@ -455,11 +455,6 @@ impl<T: Clone> LeaseTable<T> {
         self.lock().outstanding.len()
     }
 
-    /// Tasks whose results were published.
-    pub fn acked_len(&self) -> usize {
-        self.lock().acked.len()
-    }
-
     /// Highest epoch any task has reached — the wedged-query signal
     /// (a task reclaimed over and over is making no progress).
     pub fn max_epoch(&self) -> u32 {
@@ -710,7 +705,7 @@ mod tests {
             r.restore_acked(id);
         }
         assert_eq!(r.pending_len(), 2);
-        assert_eq!(r.acked_len(), 1);
+        assert_eq!(r.checkpoint().acked, vec![a]);
         let fresh = r.submit(4u32);
         assert!(fresh > c, "id allocator resumes past the checkpoint");
     }

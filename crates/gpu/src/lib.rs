@@ -67,7 +67,7 @@ macro_rules! chaos_point {
 pub(crate) use {chaos_inject, chaos_point};
 
 pub use clock::Clock;
-pub use device::{Device, DeviceGroup};
+pub use device::Device;
 pub use lease::{
     AckOutcome, Backlog, Lease, LeaseCheckpoint, LeaseStats, LeaseTable, AFFINITY_WINDOW,
 };

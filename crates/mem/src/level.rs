@@ -69,8 +69,25 @@ pub trait LevelStore {
     /// This is the warp-intersection input path for reuse sources.
     fn for_each_chunk(&self, f: &mut dyn FnMut(&[u32]));
 
-    /// Bytes of backing memory currently reserved by this level.
-    fn bytes_reserved(&self) -> usize;
+    /// Candidates silently dropped by this level (truncating arrays).
+    fn truncated(&self) -> u64 {
+        0
+    }
+
+    /// Page faults (on-demand page allocations) served by this level.
+    fn page_faults(&self) -> u64 {
+        0
+    }
+
+    /// Times this level degraded to a heap spill.
+    fn spill_events(&self) -> u64 {
+        0
+    }
+
+    /// Candidates written to a heap spill instead of the level's pages.
+    fn spilled(&self) -> u64 {
+        0
+    }
 
     /// Copies the contents into a vector (diagnostics/tests).
     fn to_vec(&self) -> Vec<u32> {
@@ -102,22 +119,11 @@ impl ArrayLevel {
         }
     }
 
-    /// Number of candidates silently dropped under
-    /// [`OverflowPolicy::Truncate`].
-    pub fn truncated(&self) -> u64 {
-        self.truncated
-    }
-
     /// Shortens the level to `new_len` candidates (used by the half-steal
     /// baseline when a thief removes the stolen tail). No-op if the level
     /// is already shorter.
     pub fn truncate(&mut self, new_len: usize) {
         self.buf.truncate(new_len);
-    }
-
-    /// Read-only view of the stored candidates.
-    pub fn as_slice(&self) -> &[u32] {
-        &self.buf
     }
 }
 
@@ -156,8 +162,9 @@ impl LevelStore for ArrayLevel {
         }
     }
 
-    fn bytes_reserved(&self) -> usize {
-        self.capacity * 4
+    /// Candidates dropped under [`OverflowPolicy::Truncate`].
+    fn truncated(&self) -> u64 {
+        self.truncated
     }
 }
 
@@ -194,12 +201,6 @@ mod tests {
         }
         assert_eq!(l.len(), 2);
         assert_eq!(l.truncated(), 3);
-    }
-
-    #[test]
-    fn bytes_reserved_is_capacity() {
-        let l = ArrayLevel::new(1000, OverflowPolicy::Error);
-        assert_eq!(l.bytes_reserved(), 4000);
     }
 
     #[test]

@@ -128,16 +128,6 @@ impl PagedLevel {
         self.spill_start != NOT_SPILLING
     }
 
-    /// Times the level entered spill mode since creation.
-    pub fn spill_events(&self) -> u64 {
-        self.spill_events
-    }
-
-    /// Elements written to the heap spill since creation.
-    pub fn spilled(&self) -> u64 {
-        self.spilled_total
-    }
-
     /// Length of the paged prefix (everything below the spill point).
     #[inline]
     fn paged_len(&self) -> usize {
@@ -152,11 +142,6 @@ impl PagedLevel {
     /// Pages currently held.
     pub fn pages_held(&self) -> usize {
         self.table.iter().filter(|&&p| p != NULL_PAGE).count()
-    }
-
-    /// Page faults (on-demand allocations) since creation.
-    pub fn page_faults(&self) -> u64 {
-        self.page_faults
     }
 
     /// Returns every held page to the arena (called between tasks only if
@@ -323,11 +308,19 @@ impl LevelStore for PagedLevel {
         }
     }
 
-    fn bytes_reserved(&self) -> usize {
-        // Held pages plus the page table itself, plus any heap spill.
-        self.pages_held() * crate::arena::PAGE_BYTES
-            + self.table.len() * 4
-            + self.spill.capacity() * 4
+    /// Page faults (on-demand allocations) since creation.
+    fn page_faults(&self) -> u64 {
+        self.page_faults
+    }
+
+    /// Times the level entered spill mode since creation.
+    fn spill_events(&self) -> u64 {
+        self.spill_events
+    }
+
+    /// Elements written to the heap spill since creation.
+    fn spilled(&self) -> u64 {
+        self.spilled_total
     }
 }
 
@@ -454,7 +447,6 @@ mod tests {
         let mut sizes = Vec::new();
         l.for_each_chunk(&mut |c| sizes.push(c.len()));
         assert_eq!(sizes, vec![PAGE_INTS, 10]);
-        assert!(l.bytes_reserved() >= PAGE_INTS * 4 + 10 * 4);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tdfs_core::engine::{run_on_device_from, InitialSource};
+use tdfs_core::engine::{run_on_device, InitialSource};
 use tdfs_core::stack::StackFactory;
 use tdfs_core::{
     match_plan_on_edges, CancelFlag, CollectSink, EngineError, MatchSink, MatcherConfig,
@@ -591,7 +591,7 @@ fn shard_queue(edges: usize) -> usize {
 /// cursor, and the stack arena, built once and reused by every T-DFS
 /// shard the worker runs, as the paper's warps reuse the memory
 /// allocated for them up front. Each run rewinds the cursor and restarts the queue
-/// counters and arena peak (`run_on_device_from`), so its stats are
+/// counters and arena peak (`run_on_device`), so its stats are
 /// those of a fresh device.
 struct ShardDevice {
     device: Device,
@@ -604,7 +604,7 @@ impl ShardDevice {
     fn new<V: GraphView>(job: &DurableJob<'_, V>, queue: usize) -> Self {
         let cfg = job.config;
         Self {
-            device: Device::in_group(0, 1, 1, cfg.chunk_size, queue),
+            device: Device::in_group(0, 1, cfg.chunk_size, queue),
             stacks: StackFactory::for_config(cfg, job.graph.max_degree()),
         }
     }
@@ -714,7 +714,7 @@ fn run_shard<V: GraphView>(
     let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
         crate::chaos_point!("service.worker.run");
         match device {
-            Some(d) => run_on_device_from(
+            Some(d) => run_on_device(
                 job.graph,
                 job.plan,
                 &cfg,
@@ -723,7 +723,6 @@ fn run_shard<V: GraphView>(
                 Clock::real(),
                 sink_opt,
                 InitialSource::Edges(edges),
-                Duration::ZERO,
             ),
             None => match_plan_on_edges(job.graph, job.plan, &cfg, edges, sink_opt),
         }

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use tdfs_core::{reference_count, MatchSink, MatcherConfig};
+use tdfs_core::{host_filter_edges, reference_count, MatchSink, MatcherConfig};
 use tdfs_graph::generators::barabasi_albert;
 use tdfs_graph::CsrGraph;
 use tdfs_query::plan::QueryPlan;
@@ -81,6 +81,39 @@ fn durable_counts_agree_with_reference_for_every_engine() {
         "fault-free: every grant acks"
     );
     assert!(m.tasks_acked > 15, "sharding actually happened");
+}
+
+/// Shards are slices of the admitted edge list, so a multi-shard query
+/// reports exactly that list as admitted and nothing as filtered, on
+/// every engine: the edges a shard does not hold belong to other shards.
+#[test]
+fn multi_shard_edge_counters_are_the_admitted_list() {
+    let g = Arc::new(barabasi_albert(400, 5, 7));
+    let svc = Service::new(ServiceConfig {
+        workers: 1,
+        durability: DurableConfig {
+            shard_edges: 64,
+            ..DurableConfig::default()
+        },
+        ..ServiceConfig::default()
+    });
+    svc.register_graph("ba", g.clone());
+    let pattern = Pattern::clique(3);
+    let mut configs = engines();
+    configs.push(("hybrid", MatcherConfig::hybrid().with_warps(2)));
+    for (ename, config) in configs {
+        let plan = QueryPlan::build_with(&pattern, config.plan);
+        let admitted = host_filter_edges(&*g, &plan).len() as u64;
+        let before = svc.metrics().tasks_acked;
+        let out = svc
+            .submit(QueryRequest::new("ba", pattern.clone()).with_config(config))
+            .unwrap()
+            .wait();
+        let r = out.result.expect("durable run failed");
+        assert!(svc.metrics().tasks_acked - before > 1, "{ename}: one shard");
+        assert_eq!(r.stats.edges_admitted, admitted, "{ename}: edges admitted");
+        assert_eq!(r.stats.edges_filtered, 0, "{ename}: edges filtered");
+    }
 }
 
 /// A hand-built mid-query checkpoint — first shard acked with its exact
