@@ -115,26 +115,6 @@ impl JsonReport {
     }
 }
 
-/// [`bench`] with an elements-per-iteration throughput annotation.
-pub fn bench_throughput<R, F: FnMut() -> R>(name: &str, elements: u64, mut f: F) {
-    // Reuse `bench` for the measurement; recompute throughput from a
-    // dedicated timed batch so the printed number is self-consistent.
-    let t = Instant::now();
-    let mut iters = 0u64;
-    while t.elapsed() < Duration::from_millis(300) {
-        black_box(f());
-        iters += 1;
-    }
-    let ns = t.elapsed().as_nanos() as f64 / iters.max(1) as f64;
-    let eps = elements as f64 / (ns / 1e9);
-    bench(name, f);
-    println!(
-        "{:<44} {:>12.1} M elements/s",
-        format!("{name} (throughput)"),
-        eps / 1e6
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

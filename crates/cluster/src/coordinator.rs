@@ -250,11 +250,6 @@ impl ClusterQueryHandle {
         self.id
     }
 
-    /// Matches credited so far (monotone; exact once the query is done).
-    pub fn matches_so_far(&self) -> u64 {
-        self.query.matches.load(Ordering::Acquire)
-    }
-
     /// Whether the query has finished (successfully or not).
     pub fn is_done(&self) -> bool {
         self.query.done.load(Ordering::Acquire)

@@ -283,9 +283,4 @@ impl Client {
             }
         }
     }
-
-    /// Drops the connection so the next RPC dials afresh.
-    pub fn disconnect(&mut self) {
-        self.conn = None;
-    }
 }

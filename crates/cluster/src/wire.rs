@@ -12,7 +12,7 @@
 //! [proto_version: u16][seq: u64][tag: u8][body…]
 //! ```
 //!
-//! The CRC (the `TDFSGRPH` container's CRC-32C over the whole payload)
+//! The CRC (the `TDFSGRPH` container's CRC-32 over the whole payload)
 //! makes a torn or bit-flipped frame a typed [`WireError`], never a
 //! misparse. `seq` is a per-connection monotone counter assigned by the
 //! node: a retransmitted request reuses its seq, replies echo it, and
@@ -23,12 +23,15 @@
 //! a re-executed `Ack` is fenced by the ledger's epoch — it exists so
 //! duplicates are cheap, not just safe.
 //!
-//! Bodies use the same hand-rolled little-endian primitives as the
-//! `TDFSSNAP` codec, with golden byte tests pinning the layout.
+//! Frames and bodies are written and read with
+//! [`tdfs_service::codec`], the codec behind `TDFSSNAP` snapshots and
+//! the state-directory records, so every count is bounded by the bytes
+//! that follow it. Golden byte tests pin the layout.
 
 use std::fmt;
 
 use tdfs_graph::container::crc32;
+use tdfs_service::codec::{DecodeError, Reader, Writer};
 use tdfs_service::Shard;
 
 /// Protocol version spoken by this build. A frame with any other
@@ -78,6 +81,16 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => WireError::Truncated,
+            // Payloads carry no magic or sealed version.
+            _ => WireError::Corrupt(e.reason()),
+        }
+    }
+}
 
 /// Every message either side can put on the wire.
 ///
@@ -170,106 +183,16 @@ pub enum Message {
     Shutdown,
 }
 
-// ---- primitives (same layout discipline as the TDFSSNAP codec) ----
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn bool(&mut self, what: &'static str) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::Corrupt(what)),
-        }
-    }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Corrupt("non-utf8 string"))
-    }
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-    fn done(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Corrupt("trailing bytes"))
-        }
-    }
-}
-
 fn write_shard(w: &mut Writer, s: Shard) {
     w.u32(s.start);
     w.u32(s.end);
 }
 
-fn read_shard(r: &mut Reader) -> Result<Shard, WireError> {
+fn read_shard(r: &mut Reader) -> Result<Shard, DecodeError> {
     let start = r.u32()?;
     let end = r.u32()?;
     if end < start {
-        return Err(WireError::Corrupt("shard end < start"));
+        return Err(DecodeError::Corrupt("shard end < start"));
     }
     Ok(Shard { start, end })
 }
@@ -293,7 +216,7 @@ const TAG_SHUTDOWN: u8 = 39;
 
 /// Encodes `msg` as a payload: `[proto_version][seq][tag][body]`.
 pub fn encode_payload(seq: u64, msg: &Message) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = Writer::default();
     w.u16(PROTO_VERSION);
     w.u64(seq);
     match msg {
@@ -406,7 +329,7 @@ pub fn encode_payload(seq: u64, msg: &Message) -> Vec<u8> {
         }
         Message::Shutdown => w.u8(TAG_SHUTDOWN),
     }
-    w.buf
+    w.finish()
 }
 
 /// Decodes a payload back into `(seq, Message)`.
@@ -422,24 +345,15 @@ pub fn decode_payload(payload: &[u8]) -> Result<(u64, Message), WireError> {
         TAG_HELLO => Message::Hello { node_id: r.u64()? },
         TAG_POLL => {
             let node_id = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut graphs = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let name = r.str()?;
-                let version = r.u64()?;
-                graphs.push((name, version));
-            }
-            let nq = r.u32()? as usize;
-            let mut queries = Vec::with_capacity(nq.min(1024));
-            for _ in 0..nq {
-                queries.push(r.u64()?);
-            }
-            let capacity = r.u32()?;
+            let num_graphs = r.u32()?;
+            let graphs = r.list(num_graphs.into(), 12, |r| Ok((r.str()?, r.u64()?)))?;
+            let num_queries = r.u32()?;
+            let queries = r.list(num_queries.into(), 8, Reader::u64)?;
             Message::PollWork {
                 node_id,
                 graphs,
                 queries,
-                capacity,
+                capacity: r.u32()?,
             }
         }
         TAG_START_ACK => Message::StartAck {
@@ -468,22 +382,18 @@ pub fn decode_payload(payload: &[u8]) -> Result<(u64, Message), WireError> {
         TAG_SHIP_GRAPH => Message::ShipGraph {
             name: r.str()?,
             version: r.u64()?,
-            container: r.bytes()?,
+            container: r.bytes()?.to_vec(),
         },
         TAG_START_QUERY => Message::StartQuery {
             query_id: r.u64()?,
-            snapshot: r.bytes()?,
+            snapshot: r.bytes()?.to_vec(),
         },
         TAG_GRANTS => {
             let query_id = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut grants = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let task_id = r.u64()?;
-                let epoch = r.u32()?;
-                let shard = read_shard(&mut r)?;
-                grants.push((task_id, epoch, shard));
-            }
+            let num_grants = r.u32()?;
+            let grants = r.list(num_grants.into(), 20, |r| {
+                Ok((r.u64()?, r.u32()?, read_shard(r)?))
+            })?;
             Message::Grants { query_id, grants }
         }
         TAG_ACK_REPLY => Message::AckReply {
@@ -500,17 +410,17 @@ pub fn decode_payload(payload: &[u8]) -> Result<(u64, Message), WireError> {
 
 /// Wraps a payload in the on-socket frame: `[len][crc32][payload]`.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    let mut w = Writer::default();
+    w.u32(payload.len() as u32);
+    w.u32(crc32(payload));
+    w.raw(payload);
+    w.finish()
 }
 
 /// Validates a frame header, returning the payload length to read.
 pub fn frame_len(header: &[u8; FRAME_HEADER]) -> Result<(u32, u32), WireError> {
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+    let mut r = Reader::new(header);
+    let (len, crc) = (r.u32()?, r.u32()?);
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversized { len });
     }

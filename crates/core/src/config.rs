@@ -278,13 +278,6 @@ impl MatcherConfig {
         self.cancel.as_ref().is_some_and(CancelFlag::is_cancelled)
     }
 
-    /// Attaches a cross-run memory-budget handle (see
-    /// [`memory_budget`](Self::memory_budget)).
-    pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.memory_budget = Some(budget);
-        self
-    }
-
     /// Overrides the warp count.
     pub fn with_warps(mut self, n: usize) -> Self {
         assert!(n >= 1);

@@ -68,11 +68,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of edges currently buffered (pre-dedup).
-    pub fn buffered_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes into a [`CsrGraph`].
     ///
     /// Panics if labels were supplied but do not cover every vertex.

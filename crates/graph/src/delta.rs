@@ -54,14 +54,6 @@ pub enum GraphBase {
 }
 
 impl GraphBase {
-    /// The heap CSR, when this base is heap-resident.
-    pub fn as_heap(&self) -> Option<&Arc<CsrGraph>> {
-        match self {
-            GraphBase::Heap(g) => Some(g),
-            GraphBase::Mapped(_) => None,
-        }
-    }
-
     /// The mapped container, when this base is disk-resident.
     pub fn as_mapped(&self) -> Option<&Arc<MmapGraph>> {
         match self {

@@ -26,10 +26,11 @@
 //! without the directory fsync is allowed to vanish on power loss). A
 //! crash mid-write leaves only garbage under `tmp/` — cleared on the
 //! next [`DiskCatalog::open`] — and never a torn `MANIFEST`, container,
-//! delta or snapshot. Readers double-check anyway: every format here
-//! carries magic + CRC32 (or, for snapshots, the TDFSSNAP codec's own
-//! validation), so a torn file that somehow reached its final name is a
-//! typed error, never a wrong graph.
+//! delta or snapshot. Readers double-check anyway: every record here
+//! except the container is sealed by the shared [`codec`](crate::codec)
+//! (magic, version, CRC-32 trailer; snapshots from `TDFSSNAP` version 3
+//! on), so a torn file that somehow reached its final name is a typed
+//! error, never a wrong graph.
 //!
 //! *Multi-file transitions* — installing a container plus its sidecar
 //! plus a manifest entry ([`DiskCatalog::install_graph`]: register,
@@ -72,9 +73,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use tdfs_graph::container::crc32;
 use tdfs_graph::vfs::{RealFs, Vfs, WriteSeek};
 use tdfs_graph::{ContainerError, GraphVersion, VertexId};
+
+use crate::codec::{DecodeError, Reader, Writer};
 
 /// Magic prefix of the `MANIFEST` file.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"TDFSCATL";
@@ -82,7 +84,7 @@ pub const MANIFEST_MAGIC: &[u8; 8] = b"TDFSCATL";
 pub const DELTA_MAGIC: &[u8; 8] = b"TDFSDELT";
 /// Magic prefix of the `JOURNAL` intent record.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"TDFSJRNL";
-/// On-disk format version of all three (bumped together).
+/// On-disk format version of all three sealed records (bumped together).
 pub const DISK_VERSION: u16 = 1;
 
 /// Byte range of the container header CRC inside a `TDFSGRPH` file,
@@ -153,6 +155,41 @@ pub struct PersistedDelta {
     pub deletes: Vec<(VertexId, VertexId)>,
 }
 
+impl PersistedDelta {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::record(DELTA_MAGIC, DISK_VERSION);
+        w.u64(self.version);
+        w.u64(self.inserts.len() as u64);
+        w.u64(self.deletes.len() as u64);
+        for &(u, v) in self.inserts.iter().chain(&self.deletes) {
+            w.u32(u);
+            w.u32(v);
+        }
+        w.seal()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<PersistedDelta, DecodeError> {
+        let mut r = Reader::unseal(bytes, DELTA_MAGIC, DISK_VERSION)?;
+        let version = r.u64()?;
+        let (num_inserts, num_deletes) = (r.u64()?, r.u64()?);
+        let mut edge = |r: &mut Reader| {
+            let (u, v) = (r.u32()?, r.u32()?);
+            if u >= v {
+                return Err(DecodeError::Corrupt("unnormalized edge (expected u < v)"));
+            }
+            Ok((u, v))
+        };
+        let inserts = r.list(num_inserts, 8, &mut edge)?;
+        let deletes = r.list(num_deletes, 8, &mut edge)?;
+        r.done()?;
+        Ok(PersistedDelta {
+            version,
+            inserts,
+            deletes,
+        })
+    }
+}
+
 /// A journaled in-flight transition (see the module docs for the
 /// recovery action each one implies).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,13 +216,7 @@ impl Intent {
     /// tag + fields, CRC32 trailer). Public for tooling and fixtures;
     /// the service writes journals only through its own transitions.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(JOURNAL_MAGIC);
-        buf.extend_from_slice(&DISK_VERSION.to_le_bytes());
-        let name_field = |buf: &mut Vec<u8>, name: &str| {
-            buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            buf.extend_from_slice(name.as_bytes());
-        };
+        let mut w = Writer::record(JOURNAL_MAGIC, DISK_VERSION);
         match self {
             Intent::InstallGraph {
                 name,
@@ -193,101 +224,62 @@ impl Intent {
                 container_len,
                 header_crc,
             } => {
-                buf.push(1);
-                name_field(&mut buf, name);
-                buf.extend_from_slice(&version.to_le_bytes());
-                buf.extend_from_slice(&container_len.to_le_bytes());
-                buf.extend_from_slice(&header_crc.to_le_bytes());
+                w.u8(1);
+                w.str16(name);
+                w.u64(*version);
+                w.u64(*container_len);
+                w.u32(*header_crc);
             }
             Intent::ApplyDelta { name, version } => {
-                buf.push(2);
-                name_field(&mut buf, name);
-                buf.extend_from_slice(&version.to_le_bytes());
+                w.u8(2);
+                w.str16(name);
+                w.u64(*version);
             }
             Intent::PutSnapshot { id } => {
-                buf.push(3);
-                buf.extend_from_slice(&id.to_le_bytes());
+                w.u8(3);
+                w.u64(*id);
             }
             Intent::DropSnapshot { id } => {
-                buf.push(4);
-                buf.extend_from_slice(&id.to_le_bytes());
+                w.u8(4);
+                w.u64(*id);
             }
         }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf
+        w.seal()
     }
 
     /// Parses an on-disk `JOURNAL`; every validation failure is a typed
     /// [`StorageError::Journal`].
     pub fn decode(bytes: &[u8]) -> Result<Intent, StorageError> {
-        let err = StorageError::Journal;
-        if bytes.len() < 8 + 2 + 1 + 4 {
-            return Err(err("truncated"));
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(body) != stored {
-            return Err(err("checksum mismatch"));
-        }
-        if &body[..8] != JOURNAL_MAGIC {
-            return Err(err("bad magic"));
-        }
-        if u16::from_le_bytes(body[8..10].try_into().unwrap()) != DISK_VERSION {
-            return Err(err("unsupported version"));
-        }
-        let tag = body[10];
-        let mut at = 11;
-        let take = |at: &mut usize, n: usize| -> Result<&[u8], StorageError> {
-            if *at + n > body.len() {
-                return Err(err("truncated field"));
-            }
-            let s = &body[*at..*at + n];
-            *at += n;
-            Ok(s)
+        let read = || {
+            let mut r = Reader::unseal(bytes, JOURNAL_MAGIC, DISK_VERSION)?;
+            let intent = match r.u8()? {
+                1 => Intent::InstallGraph {
+                    name: read_name(&mut r)?,
+                    version: r.u64()?,
+                    container_len: r.u64()?,
+                    header_crc: r.u32()?,
+                },
+                2 => Intent::ApplyDelta {
+                    name: read_name(&mut r)?,
+                    version: r.u64()?,
+                },
+                3 => Intent::PutSnapshot { id: r.u64()? },
+                4 => Intent::DropSnapshot { id: r.u64()? },
+                _ => return Err(DecodeError::Corrupt("unknown intent tag")),
+            };
+            r.done()?;
+            Ok(intent)
         };
-        let read_name = |at: &mut usize| -> Result<String, StorageError> {
-            let len = u16::from_le_bytes(take(at, 2)?.try_into().unwrap()) as usize;
-            let name = std::str::from_utf8(take(at, len)?)
-                .map_err(|_| err("non-utf8 name"))?
-                .to_owned();
-            validate_name(&name).map_err(|_| err("unstorable name"))?;
-            Ok(name)
-        };
-        let u64_field = |at: &mut usize| -> Result<u64, StorageError> {
-            Ok(u64::from_le_bytes(take(at, 8)?.try_into().unwrap()))
-        };
-        let intent = match tag {
-            1 => {
-                let name = read_name(&mut at)?;
-                let version = u64_field(&mut at)?;
-                let container_len = u64_field(&mut at)?;
-                let header_crc = u32::from_le_bytes(take(&mut at, 4)?.try_into().unwrap());
-                Intent::InstallGraph {
-                    name,
-                    version,
-                    container_len,
-                    header_crc,
-                }
-            }
-            2 => {
-                let name = read_name(&mut at)?;
-                let version = u64_field(&mut at)?;
-                Intent::ApplyDelta { name, version }
-            }
-            3 => Intent::PutSnapshot {
-                id: u64_field(&mut at)?,
-            },
-            4 => Intent::DropSnapshot {
-                id: u64_field(&mut at)?,
-            },
-            _ => return Err(err("unknown intent tag")),
-        };
-        if at != body.len() {
-            return Err(err("trailing bytes"));
-        }
-        Ok(intent)
+        read().map_err(|e| StorageError::Journal(e.reason()))
     }
+}
+
+/// A state-directory name: `u16` length prefix, then a name that passes
+/// [`validate_name`].
+fn read_name(r: &mut Reader) -> Result<String, DecodeError> {
+    let name = r.str16()?;
+    validate_name(&name).map_err(|_| DecodeError::Corrupt("unstorable name"))?;
+    Ok(name)
 }
 
 /// What [`DiskCatalog::open`] found and did about an interrupted
@@ -636,18 +628,13 @@ impl DiskCatalog {
 
     /// Replaces the manifest with `names` (atomic).
     pub fn write_manifest(&self, names: &[String]) -> Result<(), StorageError> {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(MANIFEST_MAGIC);
-        buf.extend_from_slice(&DISK_VERSION.to_le_bytes());
-        buf.extend_from_slice(&(names.len() as u32).to_le_bytes());
+        let mut w = Writer::record(MANIFEST_MAGIC, DISK_VERSION);
+        w.u32(names.len() as u32);
         for name in names {
             validate_name(name)?;
-            buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            buf.extend_from_slice(name.as_bytes());
+            w.str16(name);
         }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        self.write_atomic(&self.manifest_path(), &buf)
+        self.write_atomic(&self.manifest_path(), &w.seal())
     }
 
     /// Reads the registered graph names back (sorted as written).
@@ -656,43 +643,14 @@ impl DiskCatalog {
         File::open(self.manifest_path())
             .map_err(|_| StorageError::Manifest("missing"))?
             .read_to_end(&mut bytes)?;
-        if bytes.len() < MANIFEST_MAGIC.len() + 2 + 4 + 4 {
-            return Err(StorageError::Manifest("truncated"));
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(body) != stored {
-            return Err(StorageError::Manifest("checksum mismatch"));
-        }
-        if &body[..8] != MANIFEST_MAGIC {
-            return Err(StorageError::Manifest("bad magic"));
-        }
-        if u16::from_le_bytes(body[8..10].try_into().unwrap()) != DISK_VERSION {
-            return Err(StorageError::Manifest("unsupported version"));
-        }
-        let count = u32::from_le_bytes(body[10..14].try_into().unwrap()) as usize;
-        let mut names = Vec::with_capacity(count.min(1024));
-        let mut at = 14;
-        for _ in 0..count {
-            if at + 2 > body.len() {
-                return Err(StorageError::Manifest("truncated name table"));
-            }
-            let len = u16::from_le_bytes(body[at..at + 2].try_into().unwrap()) as usize;
-            at += 2;
-            if at + len > body.len() {
-                return Err(StorageError::Manifest("truncated name"));
-            }
-            let name = std::str::from_utf8(&body[at..at + len])
-                .map_err(|_| StorageError::Manifest("non-utf8 name"))?
-                .to_owned();
-            validate_name(&name).map_err(|_| StorageError::Manifest("unstorable name"))?;
-            at += len;
-            names.push(name);
-        }
-        if at != body.len() {
-            return Err(StorageError::Manifest("trailing bytes"));
-        }
-        Ok(names)
+        let read = || {
+            let mut r = Reader::unseal(&bytes, MANIFEST_MAGIC, DISK_VERSION)?;
+            let count = r.u32()?;
+            let names = r.list(count.into(), 2, read_name)?;
+            r.done()?;
+            Ok(names)
+        };
+        read().map_err(|e: DecodeError| StorageError::Manifest(e.reason()))
     }
 
     // -- delta sidecar -------------------------------------------------
@@ -718,19 +676,7 @@ impl DiskCatalog {
         delta: &PersistedDelta,
     ) -> Result<(), StorageError> {
         validate_name(name)?;
-        let mut buf = Vec::with_capacity(34 + 8 * (delta.inserts.len() + delta.deletes.len()));
-        buf.extend_from_slice(DELTA_MAGIC);
-        buf.extend_from_slice(&DISK_VERSION.to_le_bytes());
-        buf.extend_from_slice(&delta.version.to_le_bytes());
-        buf.extend_from_slice(&(delta.inserts.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&(delta.deletes.len() as u64).to_le_bytes());
-        for &(u, v) in delta.inserts.iter().chain(delta.deletes.iter()) {
-            buf.extend_from_slice(&u.to_le_bytes());
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        self.write_atomic(&self.delta_path(name), &buf)
+        self.write_atomic(&self.delta_path(name), &delta.encode())
     }
 
     /// Reads graph `name`'s sidecar; `Ok(None)` when absent (a graph
@@ -740,56 +686,13 @@ impl DiskCatalog {
         if !path.exists() {
             return Ok(None);
         }
-        let err = |reason| StorageError::Delta {
-            graph: name.to_owned(),
-            reason,
-        };
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
-        if bytes.len() < 8 + 2 + 8 + 8 + 8 + 4 {
-            return Err(err("truncated"));
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(body) != stored {
-            return Err(err("checksum mismatch"));
-        }
-        if &body[..8] != DELTA_MAGIC {
-            return Err(err("bad magic"));
-        }
-        if u16::from_le_bytes(body[8..10].try_into().unwrap()) != DISK_VERSION {
-            return Err(err("unsupported version"));
-        }
-        let version = u64::from_le_bytes(body[10..18].try_into().unwrap());
-        let n_ins = u64::from_le_bytes(body[18..26].try_into().unwrap()) as usize;
-        let n_del = u64::from_le_bytes(body[26..34].try_into().unwrap()) as usize;
-        let expect = 34 + 8 * (n_ins + n_del);
-        if body.len() != expect {
-            return Err(err("length disagrees with edge counts"));
-        }
-        let read_pairs = |start: usize, count: usize| -> Vec<(VertexId, VertexId)> {
-            (0..count)
-                .map(|i| {
-                    let at = start + i * 8;
-                    (
-                        u32::from_le_bytes(body[at..at + 4].try_into().unwrap()),
-                        u32::from_le_bytes(body[at + 4..at + 8].try_into().unwrap()),
-                    )
-                })
-                .collect()
-        };
-        let inserts = read_pairs(34, n_ins);
-        let deletes = read_pairs(34 + 8 * n_ins, n_del);
-        for &(u, v) in inserts.iter().chain(deletes.iter()) {
-            if u >= v {
-                return Err(err("unnormalized edge (expected u < v)"));
-            }
-        }
-        Ok(Some(PersistedDelta {
-            version,
-            inserts,
-            deletes,
-        }))
+        let bytes = std::fs::read(&path)?;
+        PersistedDelta::decode(&bytes)
+            .map(Some)
+            .map_err(|e| StorageError::Delta {
+                graph: name.to_owned(),
+                reason: e.reason(),
+            })
     }
 
     // -- snapshots -----------------------------------------------------
@@ -1022,6 +925,141 @@ mod tests {
         assert_eq!(delta.version, 5);
         assert!(delta.inserts.is_empty() && delta.deletes.is_empty());
         assert_eq!(cat.read_journal().unwrap(), None);
+    }
+
+    /// Pins the exact `JOURNAL` bytes of every intent tag. If this fails
+    /// the on-disk format changed: bump [`DISK_VERSION`], keep a decoder
+    /// for the old version, and re-pin.
+    #[test]
+    fn golden_journal_every_intent() {
+        let record = |tag: u8, fields: &[u8], crc: [u8; 4]| {
+            let mut golden = b"TDFSJRNL".to_vec();
+            golden.extend_from_slice(&[0x01, 0x00, tag]); // disk version 1, tag
+            golden.extend_from_slice(fields);
+            golden.extend_from_slice(&crc);
+            golden
+        };
+        let cases = [
+            (
+                Intent::InstallGraph {
+                    name: "g".to_owned(),
+                    version: 3,
+                    container_len: 1234,
+                    header_crc: 0xDEAD_BEEF,
+                },
+                record(
+                    1,
+                    &[
+                        0x01, 0x00, b'g', // name: len 1, "g"
+                        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // version 3
+                        0xd2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // container_len 1234
+                        0xef, 0xbe, 0xad, 0xde, // header_crc
+                    ],
+                    [0xb2, 0x43, 0x16, 0xcd],
+                ),
+            ),
+            (
+                Intent::ApplyDelta {
+                    name: "g".to_owned(),
+                    version: 4,
+                },
+                record(
+                    2,
+                    &[
+                        0x01, 0x00, b'g', // name: len 1, "g"
+                        0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // version 4
+                    ],
+                    [0xb3, 0x27, 0xcd, 0x86],
+                ),
+            ),
+            (
+                Intent::PutSnapshot { id: 17 },
+                record(
+                    3,
+                    &[0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00],
+                    [0x22, 0xa6, 0x6d, 0x96],
+                ),
+            ),
+            (
+                Intent::DropSnapshot { id: 17 },
+                record(
+                    4,
+                    &[0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00],
+                    [0xeb, 0xcb, 0x0c, 0xf2],
+                ),
+            ),
+        ];
+        for (intent, golden) in cases {
+            assert_eq!(intent.encode(), golden, "{intent:?}");
+            assert_eq!(Intent::decode(&golden).unwrap(), intent);
+        }
+    }
+
+    /// Pins the exact `MANIFEST` bytes.
+    #[test]
+    fn golden_manifest() {
+        let (_dir, cat) = catalog();
+        let names = vec!["alpha".to_owned(), "g2".to_owned()];
+        cat.write_manifest(&names).unwrap();
+        let golden: Vec<u8> = vec![
+            // magic "TDFSCATL", disk version 1
+            0x54, 0x44, 0x46, 0x53, 0x43, 0x41, 0x54, 0x4c, 0x01, 0x00, //
+            // 2 names: len 5 "alpha", len 2 "g2"
+            0x02, 0x00, 0x00, 0x00, //
+            0x05, 0x00, b'a', b'l', b'p', b'h', b'a', 0x02, 0x00, b'g', b'2', //
+            // CRC-32 trailer
+            0x64, 0x25, 0xb1, 0xb4,
+        ];
+        assert_eq!(std::fs::read(cat.root().join("MANIFEST")).unwrap(), golden);
+        assert_eq!(cat.read_manifest().unwrap(), names);
+    }
+
+    /// Pins the exact `DELTA` sidecar bytes.
+    #[test]
+    fn golden_delta_sidecar() {
+        let (_dir, cat) = catalog();
+        let delta = PersistedDelta {
+            version: 7,
+            inserts: vec![(0, 3), (1, 2)],
+            deletes: vec![(2, 9)],
+        };
+        cat.write_delta("g", &delta).unwrap();
+        let golden: Vec<u8> = vec![
+            // magic "TDFSDELT", disk version 1
+            0x54, 0x44, 0x46, 0x53, 0x44, 0x45, 0x4c, 0x54, 0x01, 0x00, //
+            // graph version 7, 2 inserts, 1 delete
+            0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+            0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+            // inserts (0,3) (1,2), delete (2,9)
+            0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, //
+            0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, //
+            0x02, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, //
+            // CRC-32 trailer
+            0x0d, 0x9e, 0xbe, 0x04,
+        ];
+        assert_eq!(std::fs::read(cat.delta_path("g")).unwrap(), golden);
+        assert_eq!(cat.read_delta("g").unwrap(), Some(delta));
+    }
+
+    /// A sidecar with a valid CRC whose insert count is 2^61 is a typed
+    /// error: the count cannot fit the bytes that follow it.
+    #[test]
+    fn sidecar_with_a_huge_edge_count_is_a_typed_error() {
+        use tdfs_graph::container::crc32;
+        let (_dir, cat) = catalog();
+        cat.write_delta("g", &PersistedDelta::default()).unwrap();
+        let path = cat.delta_path("g");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[18..26].copy_from_slice(&(1u64 << 61).to_le_bytes()); // insert count
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            cat.read_delta("g"),
+            Err(StorageError::Delta { .. })
+        ));
     }
 
     #[test]

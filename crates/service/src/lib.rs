@@ -83,6 +83,7 @@ pub(crate) use chaos_inject;
 pub mod cache;
 pub mod canon;
 pub mod catalog;
+pub mod codec;
 pub mod disk;
 pub mod durable;
 pub mod fsck;
@@ -102,7 +103,7 @@ pub use governor::{
 };
 pub use service::{
     ApplyError, ApplyReport, PartialResult, QueryHandle, QueryOutcome, QueryRequest, Rejected,
-    ResumeError, RetryPolicy, Service, ServiceConfig, ServiceMetrics, SnapshotError,
+    ResumeError, Service, ServiceConfig, ServiceMetrics, SnapshotError,
 };
 pub use snapshot::{DecodeError, QuerySnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use standing::{MatchDelta, StandingRequest};

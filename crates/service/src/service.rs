@@ -95,34 +95,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Bounded retry-with-backoff for [`Service::submit_with_retry`]:
-/// transient [`Rejected::QueueFull`] backpressure is retried after an
-/// exponentially growing sleep; every other rejection is final.
-///
-/// Kept as the service's public knob shape; execution delegates to the
-/// shared [`tdfs_core::retry`] utility (jittered truncated exponential
-/// backoff), the same machinery behind standing-query notify delivery,
-/// maintenance dispatch, and the cluster transport's RPCs.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Retries after the initial attempt (0 = plain `submit`).
-    pub max_retries: u32,
-    /// Sleep before the first retry; doubles each retry.
-    pub initial_backoff: Duration,
-    /// Upper bound on a single backoff sleep.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 4,
-            initial_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-        }
-    }
-}
-
 /// Why a submission was not admitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rejected {
@@ -1728,8 +1700,9 @@ impl Service {
     }
 
     /// [`Service::submit`] with bounded retry on transient
-    /// [`Rejected::QueueFull`] backpressure: sleeps `policy`'s
-    /// exponentially growing backoff between attempts and gives up —
+    /// [`Rejected::QueueFull`] backpressure: sleeps `policy`'s jittered,
+    /// exponentially growing backoff between attempts (the shared
+    /// [`tdfs_core::retry()`] loop) and gives up —
     /// returning the final `QueueFull` — after `policy.max_retries`
     /// resubmissions. Non-transient rejections (unknown graph, shutdown)
     /// are returned immediately, never retried. Each resubmission bumps
@@ -1742,14 +1715,9 @@ impl Service {
     pub fn submit_with_retry(
         &self,
         request: QueryRequest,
-        policy: &RetryPolicy,
+        policy: &BackoffPolicy,
     ) -> Result<QueryHandle, Rejected> {
-        let backoff = BackoffPolicy::new(
-            policy.max_retries,
-            policy.initial_backoff.min(policy.max_backoff),
-            policy.max_backoff,
-        );
-        retry(&backoff, |attempt| {
+        retry(policy, |attempt| {
             if attempt > 0 {
                 lock_metrics(&self.inner).admission_retries += 1;
             }
@@ -2370,11 +2338,7 @@ mod tests {
             .unwrap();
         // The worker is pinned and the queue is full: every attempt of a
         // bounded retry fails, and each resubmission is counted.
-        let policy = RetryPolicy {
-            max_retries: 3,
-            initial_backoff: Duration::from_micros(200),
-            max_backoff: Duration::from_millis(1),
-        };
+        let policy = BackoffPolicy::new(3, Duration::from_micros(200), Duration::from_millis(1));
         let err = svc
             .submit_with_retry(QueryRequest::new("k5", Pattern::clique(3)), &policy)
             .unwrap_err();
@@ -2418,11 +2382,11 @@ mod tests {
         let retrier = {
             let svc = svc.clone();
             std::thread::spawn(move || {
-                let policy = RetryPolicy {
-                    max_retries: 10_000,
-                    initial_backoff: Duration::from_micros(200),
-                    max_backoff: Duration::from_millis(1),
-                };
+                let policy = BackoffPolicy::new(
+                    10_000,
+                    Duration::from_micros(200),
+                    Duration::from_millis(1),
+                );
                 svc.submit_with_retry(QueryRequest::new("k5", Pattern::clique(3)), &policy)
             })
         };
@@ -2445,7 +2409,7 @@ mod tests {
         let err = svc
             .submit_with_retry(
                 QueryRequest::new("nope", Pattern::clique(3)),
-                &RetryPolicy::default(),
+                &BackoffPolicy::default(),
             )
             .unwrap_err();
         assert_eq!(err, Rejected::UnknownGraph("nope".into()));

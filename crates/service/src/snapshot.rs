@@ -8,13 +8,13 @@
 //! [`Service::resume`](crate::Service::resume) can reconstruct in the
 //! same process or after a full restart.
 //!
-//! The workspace is deliberately dependency-free, so the codec is
-//! hand-rolled: little-endian fixed-width integers, length-prefixed
-//! lists, a magic header and an explicit version number. A decoder
-//! **rejects** unknown versions and trailing garbage instead of
-//! guessing — schema evolution must bump [`SNAPSHOT_VERSION`] and keep
-//! a decode path for the old one. The exact bytes are pinned by a
-//! golden test so accidental format changes are caught in review.
+//! The bytes are a sealed record of the shared [`codec`](crate::codec):
+//! magic, version, little-endian body, CRC-32 trailer, so a flipped bit
+//! in a persisted snapshot is a typed error, not a wrong count. A decoder
+//! **rejects** unknown versions, bad checksums and trailing garbage
+//! instead of guessing — schema evolution must bump [`SNAPSHOT_VERSION`]
+//! and keep a decode path for the old one. The exact bytes are pinned by
+//! a golden test so accidental format changes are caught in review.
 //!
 //! What is *not* serialized, by design:
 //! - the data graph (snapshots name it; the resuming service must have
@@ -25,12 +25,13 @@
 //! - cancellation tokens (a snapshot of a cancelled query resumes
 //!   un-cancelled — that is the point of suspend/resume).
 
-use std::fmt;
 use std::time::Duration;
 
 use tdfs_core::{ArrayCapacity, MatcherConfig, OverflowPolicy, StackConfig, Strategy};
 use tdfs_query::Pattern;
 
+pub use crate::codec::DecodeError;
+use crate::codec::{Reader, Writer};
 use crate::durable::Shard;
 
 /// Magic bytes opening every snapshot.
@@ -38,8 +39,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TDFSSNAP";
 
 /// Current wire-format version. Version 2 added `graph_version` (the
 /// batch-dynamic catalog version the shards were carved against);
-/// version-1 buffers still decode, with `graph_version = 0`.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// version 3 seals the version-2 body with a CRC-32 trailer. Version-1
+/// buffers still decode, with `graph_version = 0`, and version-2 ones
+/// without a checksum.
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// A decoded (or to-be-encoded) durable-query snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,118 +77,6 @@ pub struct QuerySnapshot {
     /// Unfinished shards as `(task_id, epoch, shard)` — unclaimed
     /// pending tasks plus outstanding leases demoted back to tasks.
     pub pending: Vec<(u64, u32, Shard)>,
-}
-
-/// Why a snapshot buffer failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The buffer does not start with [`SNAPSHOT_MAGIC`].
-    BadMagic,
-    /// The version is not one this build can decode.
-    UnsupportedVersion(u16),
-    /// The buffer ended before the structure did.
-    Truncated,
-    /// A field held an impossible value.
-    Corrupt(&'static str),
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::BadMagic => write!(f, "not a snapshot: bad magic"),
-            DecodeError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v} (supported: 1-2)")
-            }
-            DecodeError::Truncated => write!(f, "snapshot truncated"),
-            DecodeError::Corrupt(what) => write!(f, "snapshot corrupt: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-// ---- Writer ----
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-// ---- Reader ----
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-    fn bool(&mut self, what: &'static str) -> Result<bool, DecodeError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(DecodeError::Corrupt(what)),
-        }
-    }
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Corrupt("non-utf8 string"))
-    }
-    fn done(&self) -> Result<(), DecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(DecodeError::Corrupt("trailing bytes"))
-        }
-    }
 }
 
 // ---- Config codec ----
@@ -326,9 +217,7 @@ fn read_config(r: &mut Reader) -> Result<MatcherConfig, DecodeError> {
 
 /// Encodes `snap` into the versioned wire format.
 pub fn encode(snap: &QuerySnapshot) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.buf.extend_from_slice(&SNAPSHOT_MAGIC);
-    w.u16(SNAPSHOT_VERSION);
+    let mut w = Writer::record(&SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
     w.str(&snap.graph);
     w.u64(snap.graph_version);
     // Pattern: n, labels, edges.
@@ -361,43 +250,36 @@ pub fn encode(snap: &QuerySnapshot) -> Vec<u8> {
         w.u64(shard.start as u64);
         w.u64(shard.end as u64);
     }
-    w.buf
+    w.seal()
 }
 
-/// Decodes a snapshot, rejecting bad magic, unknown versions,
-/// truncation and trailing bytes.
+/// Decodes a snapshot, rejecting bad magic, unknown versions, a bad
+/// checksum (version 3), truncation and trailing bytes.
 pub fn decode(bytes: &[u8]) -> Result<QuerySnapshot, DecodeError> {
     let mut r = Reader::new(bytes);
-    if r.take(8)? != SNAPSHOT_MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = r.u16()?;
-    if !(1..=SNAPSHOT_VERSION).contains(&version) {
-        return Err(DecodeError::UnsupportedVersion(version));
+    let version = r.header(&SNAPSHOT_MAGIC, 1..=SNAPSHOT_VERSION)?;
+    // Versions 1 and 2 predate the checksum trailer.
+    if version >= 3 {
+        r.check_seal()?;
     }
     let graph = r.str()?;
     // Version 1 predates the batch-dynamic catalog: every graph was
     // immutable, i.e. pinned at version 0.
     let graph_version = if version >= 2 { r.u64()? } else { 0 };
-    let n = r.u32()? as usize;
+    let n = r.u32()?;
     if !(1..=32).contains(&n) {
         return Err(DecodeError::Corrupt("pattern size"));
     }
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        labels.push(r.u32()?);
-    }
-    let num_edges = r.u32()? as usize;
-    let mut edges = Vec::with_capacity(num_edges);
-    for _ in 0..num_edges {
-        let u = r.u8()? as usize;
-        let v = r.u8()? as usize;
+    let labels = r.list(n.into(), 4, Reader::u32)?;
+    let num_edges = r.u32()?;
+    let edges = r.list(num_edges.into(), 2, |r| {
+        let (u, v) = (r.u8()? as u32, r.u8()? as u32);
         if u >= n || v >= n || u == v {
             return Err(DecodeError::Corrupt("pattern edge"));
         }
-        edges.push((u, v));
-    }
-    let pattern = Pattern::from_edges_labeled(n, &edges, labels);
+        Ok((u as usize, v as usize))
+    })?;
+    let pattern = Pattern::from_edges_labeled(n as usize, &edges, labels);
     let config = read_config(&mut r)?;
     let edge_count = r.u64()?;
     let matches = r.u64()?;
@@ -405,30 +287,20 @@ pub fn decode(bytes: &[u8]) -> Result<QuerySnapshot, DecodeError> {
     let tasks_acked = r.u64()?;
     let resumes = r.u32()?;
     let next_task_id = r.u64()?;
-    let num_acked = r.u32()? as usize;
-    let mut acked = Vec::with_capacity(num_acked);
-    for _ in 0..num_acked {
-        acked.push(r.u64()?);
-    }
-    let num_pending = r.u32()? as usize;
-    let mut pending = Vec::with_capacity(num_pending);
-    for _ in 0..num_pending {
-        let id = r.u64()?;
-        let epoch = r.u32()?;
-        let start = r.u64()?;
-        let end = r.u64()?;
+    let num_acked = r.u32()?;
+    let acked = r.list(num_acked.into(), 8, Reader::u64)?;
+    let num_pending = r.u32()?;
+    let pending = r.list(num_pending.into(), 28, |r| {
+        let (id, epoch, start, end) = (r.u64()?, r.u32()?, r.u64()?, r.u64()?);
         if start > end || end > edge_count {
             return Err(DecodeError::Corrupt("shard range"));
         }
-        pending.push((
-            id,
-            epoch,
-            Shard {
-                start: start as u32,
-                end: end as u32,
-            },
-        ));
-    }
+        let shard = Shard {
+            start: start as u32,
+            end: end as u32,
+        };
+        Ok((id, epoch, shard))
+    })?;
     r.done()?;
     Ok(QuerySnapshot {
         graph,
@@ -528,9 +400,45 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage() {
-        let mut bytes = encode(&sample());
-        bytes.push(0);
-        assert_eq!(decode(&bytes), Err(DecodeError::Corrupt("trailing bytes")));
+        // Version 2 has no trailer: the extra byte is left unread.
+        let mut v2 = golden_v2();
+        v2.push(0);
+        assert_eq!(decode(&v2), Err(DecodeError::Corrupt("trailing bytes")));
+        // Version 3: the extra byte shifts the trailer, so the checksum
+        // no longer matches.
+        let mut v3 = encode(&sample());
+        v3.push(0);
+        assert_eq!(decode(&v3), Err(DecodeError::Corrupt("checksum mismatch")));
+    }
+
+    /// A count field set to `u32::MAX` claims more elements than there
+    /// are bytes left: it is refused before anything is allocated, on
+    /// the sealed layout (trailer recomputed, so the checksum does not
+    /// mask the count) and on the unsealed version-2 one.
+    #[test]
+    fn huge_counts_are_rejected_before_allocating() {
+        let snap = sample();
+        let sealed = encode(&snap);
+        let body_end = sealed.len() - 4;
+        let pending_at = body_end - 28 * snap.pending.len() - 4;
+        let acked_at = pending_at - 8 * snap.acked.len() - 4;
+        let edges_at = 10 + 4 + snap.graph.len() + 8 + 4 + 4 * snap.pattern.num_vertices();
+        assert_eq!(
+            (sealed[edges_at], sealed[acked_at], sealed[pending_at]),
+            (3, 3, 2),
+            "pattern edges, acked ids, pending shards"
+        );
+        for at in [edges_at, acked_at, pending_at] {
+            let mut v3 = sealed.clone();
+            v3[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let crc = tdfs_graph::container::crc32(&v3[..body_end]);
+            v3[body_end..].copy_from_slice(&crc.to_le_bytes());
+            let mut v2 = v3[..body_end].to_vec();
+            v2[8] = 2;
+            for bytes in [v3, v2] {
+                assert_eq!(decode(&bytes), Err(DecodeError::Truncated), "count at {at}");
+            }
+        }
     }
 
     #[test]
@@ -626,12 +534,8 @@ mod tests {
         assert_eq!(decode(&golden).unwrap(), golden_snap(0));
     }
 
-    /// Pins the exact wire bytes of version 2. If this test fails you
-    /// changed the format: bump [`SNAPSHOT_VERSION`], keep a decoder
-    /// for versions 1 and 2, and re-pin.
-    #[test]
-    fn golden_wire_format_v2() {
-        let snap = golden_snap(3);
+    /// The version-2 buffer of [`golden_snap`]`(3)`: no checksum.
+    fn golden_v2() -> Vec<u8> {
         let mut golden: Vec<u8> = vec![
             // magic "TDFSSNAP"
             0x54, 0x44, 0x46, 0x53, 0x53, 0x4e, 0x41, 0x50, //
@@ -643,11 +547,37 @@ mod tests {
             0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
         ];
         golden.extend_from_slice(&golden_tail());
+        golden
+    }
+
+    /// Version-2 buffers (no checksum trailer) must keep decoding
+    /// forever.
+    #[test]
+    fn golden_wire_format_v2_still_decodes() {
+        assert_eq!(decode(&golden_v2()).unwrap(), golden_snap(3));
+    }
+
+    /// Pins the exact wire bytes of version 3: the version-2 body sealed
+    /// with a CRC-32 trailer. If this test fails you changed the format:
+    /// bump [`SNAPSHOT_VERSION`], keep a decoder for versions 1 to 3,
+    /// and re-pin.
+    #[test]
+    fn golden_wire_format_v3() {
+        let snap = golden_snap(3);
+        let mut golden = golden_v2();
+        golden[8] = 0x03; // version 3
+        golden.extend_from_slice(&[0xf7, 0x77, 0x5b, 0x35]); // CRC-32 trailer
         let bytes = encode(&snap);
         assert_eq!(
             bytes, golden,
             "wire format changed — bump SNAPSHOT_VERSION and re-pin"
         );
         assert_eq!(decode(&golden).unwrap(), snap);
+        let mut flipped = golden.clone();
+        flipped[20] ^= 0x01; // one bit of graph_version
+        assert_eq!(
+            decode(&flipped),
+            Err(DecodeError::Corrupt("checksum mismatch"))
+        );
     }
 }

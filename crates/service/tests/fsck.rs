@@ -1,18 +1,21 @@
 //! Golden corrupt-state-directory fixtures for `tdfsck`: each test
 //! builds a healthy state directory, inflicts one specific class of
 //! damage (torn manifest, orphan container, stale intent journal,
-//! missing delta sidecar), and asserts that check-only mode classifies
+//! missing delta sidecar, bit-flipped snapshot), and asserts that check-only mode classifies
 //! it with the exact [`FindingKind`] — and that repair mode remediates
 //! it into a directory a strict `Service::open` accepts, without ever
 //! deleting anything (corrupt files land in `quarantine/`).
 
 use std::sync::Arc;
 
+use tdfs_core::MatcherConfig;
 use tdfs_graph::generators::rmat;
 use tdfs_graph::EdgeBatch;
 use tdfs_query::Pattern;
+use tdfs_service::snapshot::{self, QuerySnapshot};
 use tdfs_service::{
-    fsck, DiskCatalog, FindingKind, Intent, QueryRequest, Service, ServiceConfig, Severity,
+    fsck, DiskCatalog, FindingKind, Intent, QueryRequest, ResumeError, Service, ServiceConfig,
+    Severity, Shard,
 };
 use tdfs_testkit::TempDir;
 
@@ -237,4 +240,66 @@ fn fixture_journals_match_the_catalog_reader() {
     // the journal is simply cleared.
     assert!(!tmp.path().join("JOURNAL").exists());
     assert!(cat.read_journal().unwrap().is_none());
+}
+
+/// One flipped bit in a persisted snapshot's published count is
+/// corruption: check-only mode reports `CorruptSnapshot`, a strict open
+/// refuses to resume it, and repair quarantines the file. Without a
+/// checksum the flipped count would decode and resume to a wrong total.
+#[test]
+fn bit_flipped_snapshot_is_corrupt_and_quarantined() {
+    let (tmp, _, _) = seeded_dir("tdfs-fsck-snapflip");
+    let snap = QuerySnapshot {
+        graph: "g".to_owned(),
+        graph_version: 1,
+        pattern: Pattern::clique(3),
+        config: MatcherConfig::tdfs().with_warps(1),
+        edge_count: 10,
+        matches: 357,
+        emitted: 0,
+        tasks_acked: 1,
+        resumes: 0,
+        next_task_id: 2,
+        acked: vec![0],
+        pending: vec![(1, 0, Shard { start: 4, end: 10 })],
+    };
+    let bytes = snapshot::encode(&snap);
+    let path = tmp.path().join("snapshots").join("5.tdfssnap");
+    DiskCatalog::open(tmp.path())
+        .unwrap()
+        .write_snapshot(5, &bytes)
+        .unwrap();
+    let clean = fsck(tmp.path(), false).unwrap();
+    assert!(clean.is_clean(), "intact snapshot: {clean}");
+
+    // Flip bit 40 of `matches`: the first byte where the encodings of
+    // the two counts differ.
+    let flipped = snapshot::encode(&QuerySnapshot {
+        matches: snap.matches ^ (1 << 40),
+        ..snap.clone()
+    });
+    let at = (0..bytes.len()).find(|&i| bytes[i] != flipped[i]).unwrap();
+    let mut damaged = bytes.clone();
+    damaged[at] = flipped[at];
+    std::fs::write(&path, &damaged).unwrap();
+
+    let check = fsck(tmp.path(), false).unwrap();
+    assert!(
+        has(&check, &FindingKind::CorruptSnapshot, Severity::Error),
+        "bit flip must be classified: {check}"
+    );
+    let opened = Service::open(tmp.path(), config()).unwrap();
+    assert!(opened.resumed.is_empty(), "a corrupt count must not resume");
+    assert!(
+        matches!(opened.failed.as_slice(), [(5, ResumeError::Decode(_))]),
+        "{:?}",
+        opened.failed
+    );
+    drop(opened);
+
+    fsck(tmp.path(), true).unwrap();
+    assert!(!path.exists());
+    assert!(tmp.path().join("quarantine").join("5.tdfssnap").exists());
+    let after = fsck(tmp.path(), false).unwrap();
+    assert!(after.is_clean(), "{after}");
 }

@@ -12,11 +12,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tdfs::core::{reference_count, MatcherConfig};
+use tdfs::core::{reference_count, BackoffPolicy, MatcherConfig};
 use tdfs::graph::generators::barabasi_albert;
 use tdfs::query::plan::QueryPlan;
 use tdfs::query::Pattern;
-use tdfs::service::{QueryRequest, RetryPolicy, Service, ServiceConfig};
+use tdfs::service::{QueryRequest, Service, ServiceConfig};
 use tdfs_testkit::fault::{self, Action, ChaosScript, Trigger};
 
 #[test]
@@ -62,11 +62,7 @@ fn service_survives_a_combined_chaos_storm() {
 
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 5;
-    let policy = RetryPolicy {
-        max_retries: 10_000,
-        initial_backoff: Duration::from_micros(200),
-        max_backoff: Duration::from_millis(5),
-    };
+    let policy = BackoffPolicy::new(10_000, Duration::from_micros(200), Duration::from_millis(5));
     let mut completed = 0u64;
     std::thread::scope(|s| {
         let mut handles = Vec::new();
