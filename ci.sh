@@ -18,6 +18,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps --workspace (warnings are errors)"
+# Broken intra-doc links and links to private items are warnings by
+# default, so they pile up unseen unless the build refuses them.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo build --workspace --benches"
 cargo build --workspace --benches
 
@@ -89,8 +94,9 @@ echo "==> dynamic job (delta CSR, standing queries, match-delta exactness)"
 # equivalence properties, incremental standing deltas == full rescans
 # across every engine over randomized mutation schedules, snapshot
 # resume fenced to the graph version, and the chaos storm (midbatch
-# crashes invisible, dropped notifications retried to exactly-once,
-# kill/stall storms over maintenance still exact).
+# crashes invisible, a panicking subscriber unsubscribed while the
+# others still get their delta, kill/stall storms over maintenance
+# still exact).
 timeout "$TEST_TIMEOUT" cargo test -p tdfs-graph --test delta_prop -q
 timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --test standing -q
 timeout "$TEST_TIMEOUT" cargo test -p tdfs-service --features chaos --test chaos_standing -q

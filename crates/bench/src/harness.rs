@@ -23,7 +23,7 @@ pub fn bench<R, F: FnMut() -> R>(name: &str, f: F) {
     bench_median(name, f);
 }
 
-/// [`bench`] that also returns the median ns/iter, for benches that feed
+/// [`bench()`] that also returns the median ns/iter, for benches that feed
 /// a machine-readable report (see [`JsonReport`]).
 pub fn bench_median<R, F: FnMut() -> R>(name: &str, mut f: F) -> f64 {
     // Warm-up and calibration: find the iteration count per sample.

@@ -25,9 +25,9 @@
 //!   A node joining mid-query and a node recovering from a crash are
 //!   the same code path.
 //! - **One retry policy.** Every RPC goes through
-//!   [`tdfs_core::retry`] — the same bounded-backoff-with-jitter
-//!   utility the service's admission, notification and maintenance
-//!   paths use — with typed [`RpcError`]s; retransmissions reuse their
+//!   [`tdfs_core::retry`](mod@tdfs_core::retry) — the same
+//!   bounded-backoff-with-jitter utility the service's admission
+//!   retry uses — with typed [`RpcError`]s; retransmissions reuse their
 //!   seq so the coordinator's dedup cache absorbs duplicates.
 //! - **Chaos-testable by construction.** The transport and node fire
 //!   `tdfs-testkit` fault points keyed by `node_id` (`cluster.net.*`,

@@ -4,7 +4,7 @@
 //! [`wire`](crate::wire) frame; [`Client`] layers the node-side RPC
 //! discipline on top: one monotone `seq` per request, retransmission of
 //! the *same* seq through the shared
-//! [`tdfs_core::retry`] backoff on timeout, reconnection on a severed
+//! [`tdfs_core::retry`](mod@tdfs_core::retry) backoff on timeout, reconnection on a severed
 //! stream, and skipping of stale replies. The coordinator's dedup cache
 //! (keyed by that seq) makes retransmission idempotent, and the
 //! ledger's epoch fence makes even a re-executed `Ack` harmless.

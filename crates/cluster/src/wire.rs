@@ -17,7 +17,7 @@
 //! misparse. `seq` is a per-connection monotone counter assigned by the
 //! node: a retransmitted request reuses its seq, replies echo it, and
 //! the coordinator's per-connection dedup cache turns duplicate
-//! delivery (chaos [`Action::Duplicate`](tdfs_testkit::fault::Action),
+//! delivery (chaos `Action::Duplicate`,
 //! retransmission after a lost reply) into a resent reply instead of a
 //! re-executed request. Exactness never *depends* on that cache —
 //! a re-executed `Ack` is fenced by the ledger's epoch — it exists so
@@ -129,7 +129,7 @@ pub enum Message {
     /// A shard's result, carrying the lease's fencing token. The
     /// coordinator accepts it exactly once per task via the epoch
     /// fence; late acks from a reaped (partitioned, zombie) node come
-    /// back [`AckReply::fenced`].
+    /// back as an `AckReply` with `accepted: false`.
     Ack {
         node_id: u64,
         query_id: u64,

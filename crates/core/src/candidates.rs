@@ -2,13 +2,13 @@
 //! consumption-time predicate.
 //!
 //! Every engine computes `C_S(u_level) = ⋂_{u_j ∈ B^π(u_level)} N(S[u_j])`
-//! through the one [`walk`], on the warp's 32-lane intersection kernel.
+//! through the one `walk`, on the warp's 32-lane intersection kernel.
 //! [`fill_level`] keeps every candidate and stores it in
 //! `stack[level]`, seeding from a stored ancestor level when the reuse
 //! plan allows (paper Fig. 7). Levels store the **raw** intersection;
 //! the label, degree, injectivity and symmetry predicates are evaluated
 //! by [`accept`] when a candidate is consumed, which keeps reuse
-//! unconditionally sound (DESIGN.md §4). The fused leaf ([`count_leaf`])
+//! unconditionally sound (DESIGN.md §4). The fused leaf (`count_leaf`)
 //! folds `accept` into the walk's last intersection instead, and the
 //! BFS engines walk from scratch, with no stored level to seed from.
 
@@ -239,7 +239,7 @@ fn operands<'a, L: LevelStore>(
 ///
 /// `stack` must contain all `k` levels; `level ≥ 2` (positions 0 and 1
 /// come from the initial edge task). `valid_from` is as in
-/// [`operands`].
+/// `operands`.
 pub fn fill_level<V: GraphView, L: LevelStore>(
     g: &V,
     plan: &QueryPlan,

@@ -123,7 +123,7 @@ impl Drop for PanicGuard<'_> {
 
 /// Where a run's initial tasks come from. [`InitialSource::choose`]
 /// makes this choice once for all five engines, and
-/// [`InitialSource::account`] counts its edges by one rule.
+/// `InitialSource::account` counts its edges by one rule.
 pub enum InitialSource {
     /// The raw arc stream, edge-filtered in-warp (T-DFS default).
     Arcs,

@@ -1,12 +1,11 @@
 //! Shared bounded-backoff-with-jitter retry.
 //!
-//! The workspace grew three ad-hoc retry loops — the service's
-//! `submit_with_retry` admission loop, the standing-query notify retry, and
-//! the maintenance dispatch backoff — and the cluster transport needs a
-//! fourth for every RPC. This module is the one implementation they all
-//! share: a [`BackoffPolicy`] describing the bound and delay curve, a
-//! [`Backoff`] iterator-style state machine over it, and a [`retry`] driver
-//! that separates *retryable* from *fatal* errors via [`Retry`].
+//! Two callers share it: the service's `submit_with_retry` admission
+//! loop and the cluster transport's RPC retransmission. This module is
+//! the one implementation: a [`BackoffPolicy`] describing the bound and
+//! delay curve, a [`Backoff`] iterator-style state machine over it, and a
+//! [`retry`] driver that separates *retryable* from *fatal* errors via
+//! [`Retry`].
 //!
 //! Delays follow truncated exponential backoff (`initial · 2ⁿ`, capped at
 //! `max`) with deterministic downward jitter: each delay is scaled by
@@ -22,8 +21,7 @@ use tdfs_graph::rng::Rng;
 /// Bound and delay curve for a retry loop.
 #[derive(Debug, Clone)]
 pub struct BackoffPolicy {
-    /// Retries *after* the first attempt; `u32::MAX` is effectively
-    /// unbounded (the notify loop's semantics).
+    /// Retries *after* the first attempt.
     pub max_retries: u32,
     /// Delay before the first retry.
     pub initial: Duration,
@@ -57,13 +55,6 @@ impl BackoffPolicy {
             max,
             ..BackoffPolicy::default()
         }
-    }
-
-    /// Effectively unbounded retries with the given delay curve — for loops
-    /// that must eventually succeed (e.g. standing-query delivery, where
-    /// dropping a delta would break exactness).
-    pub fn unbounded(initial: Duration, max: Duration) -> Self {
-        BackoffPolicy::new(u32::MAX, initial, max)
     }
 
     /// Disables jitter (exact nominal delays).
@@ -260,22 +251,6 @@ mod tests {
             assert!(j.as_secs_f64() >= n.as_secs_f64() * 0.75 - 1e-9);
         }
         assert!(a != nominal, "some delay should actually be jittered");
-    }
-
-    #[test]
-    fn unbounded_policy_keeps_retrying() {
-        let policy = BackoffPolicy::unbounded(Duration::ZERO, Duration::ZERO);
-        let mut calls = 0u32;
-        let result: Result<u32, ()> = retry(&policy, |attempt| {
-            calls += 1;
-            if attempt < 1000 {
-                Retry::Again(())
-            } else {
-                Retry::Done(attempt)
-            }
-        });
-        assert_eq!(result, Ok(1000));
-        assert_eq!(calls, 1001);
     }
 
     #[test]

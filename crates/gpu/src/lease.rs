@@ -85,10 +85,6 @@ pub struct LeaseStats {
     pub released: u64,
     /// Child tasks created by splitting on reclaim.
     pub split_children: u64,
-    /// Affinity leases that matched the worker's previous locality key
-    /// (task scheduled onto a worker whose cache already holds its
-    /// candidate pages — see [`LeaseTable::lease_with_affinity`]).
-    pub affinity_hits: u64,
 }
 
 impl LeaseStats {
@@ -102,17 +98,8 @@ impl LeaseStats {
         self.reclaimed += other.reclaimed;
         self.released += other.released;
         self.split_children += other.split_children;
-        self.affinity_hits += other.affinity_hits;
     }
 }
-
-/// How far past the queue head [`LeaseTable::lease_with_affinity`] may
-/// scan for a task matching the worker's locality key. Bounded so
-/// affinity stays a *reordering within a small window*, never a
-/// scheduling policy: a task can be passed over at most `WINDOW - 1`
-/// times per grant ahead of it, so FIFO fairness and
-/// starvation-freedom survive.
-pub const AFFINITY_WINDOW: usize = 8;
 
 struct PendingTask<T> {
     id: u64,
@@ -135,9 +122,6 @@ struct TableInner<T> {
     next_id: u64,
     max_epoch: u32,
     stats: LeaseStats,
-    /// Per-worker locality key of the most recent affinity grant —
-    /// which candidate page the worker's cache was last warmed with.
-    last_key: HashMap<u32, u64>,
 }
 
 /// A checkpoint of the table's recoverable state: every unfinished task
@@ -181,7 +165,6 @@ impl<T: Clone> LeaseTable<T> {
                 next_id: 0,
                 max_epoch: 0,
                 stats: LeaseStats::default(),
-                last_key: HashMap::new(),
             }),
             changed: Condvar::new(),
             timeout: lease_timeout,
@@ -251,39 +234,6 @@ impl<T: Clone> LeaseTable<T> {
             out.push(self.grant_locked(&mut inner, p, worker_id));
         }
         out
-    }
-
-    /// Cache-conscious grant: prefers — within the first
-    /// [`AFFINITY_WINDOW`] pending tasks — a task whose locality key
-    /// (`key_of`, e.g. the arena page of its candidate rows) matches
-    /// the key of this worker's previous affinity grant, so subtasks
-    /// sharing candidate pages land on the worker whose cache already
-    /// holds them. Falls back to strict FIFO when nothing in the window
-    /// matches; the bounded window keeps the order FIFO-fair overall.
-    pub fn lease_with_affinity(
-        &self,
-        worker_id: u32,
-        key_of: impl Fn(&T) -> u64,
-    ) -> Option<Lease<T>> {
-        let mut inner = self.lock();
-        let want = inner.last_key.get(&worker_id).copied();
-        let hit = want.and_then(|k| {
-            inner
-                .pending
-                .iter()
-                .take(AFFINITY_WINDOW)
-                .position(|p| key_of(&p.task) == k)
-        });
-        let p = match hit {
-            Some(i) => {
-                inner.stats.affinity_hits += 1;
-                inner.pending.remove(i)?
-            }
-            None => inner.pending.pop_front()?,
-        };
-        let key = key_of(&p.task);
-        inner.last_key.insert(worker_id, key);
-        Some(self.grant_locked(&mut inner, p, worker_id))
     }
 
     fn grant_locked(
@@ -610,60 +560,6 @@ mod tests {
         }
         assert!(t.drained());
         assert_eq!(t.stats().granted, 3);
-    }
-
-    #[test]
-    fn affinity_lease_prefers_tasks_sharing_the_workers_page() {
-        // Tasks tagged with a "page" key: worker 0 warms up on page 7,
-        // then — although a page-9 task is ahead in FIFO order — its
-        // next affinity lease picks the page-7 task from the window.
-        let t = LeaseTable::new(Duration::from_secs(60));
-        let key = |task: &u32| (*task / 10) as u64;
-        t.submit(70u32); // page 7
-        t.submit(90u32); // page 9
-        t.submit(71u32); // page 7
-        let first = t.lease_with_affinity(0, key).unwrap();
-        assert_eq!(first.task, 70, "no history yet: strict FIFO");
-        let second = t.lease_with_affinity(0, key).unwrap();
-        assert_eq!(second.task, 71, "page-7 task jumps the window");
-        assert_eq!(t.stats().affinity_hits, 1);
-        // The passed-over task is still granted next: no starvation.
-        let third = t.lease_with_affinity(0, key).unwrap();
-        assert_eq!(third.task, 90);
-    }
-
-    #[test]
-    fn affinity_lease_is_fifo_beyond_the_window() {
-        // A matching task *outside* the window must not be pulled
-        // forward — the scan is bounded so fairness survives.
-        let t = LeaseTable::new(Duration::from_secs(60));
-        let key = |task: &u32| (*task / 100) as u64;
-        t.submit(100u32); // page 1: warms worker 0
-        for i in 0..AFFINITY_WINDOW as u32 {
-            t.submit(200 + i); // page 2 filler occupying the window
-        }
-        t.submit(101u32); // page 1 again, but beyond the window
-        assert_eq!(t.lease_with_affinity(0, key).unwrap().task, 100);
-        let next = t.lease_with_affinity(0, key).unwrap();
-        assert_eq!(next.task, 200, "match beyond the window is not taken");
-        assert_eq!(t.stats().affinity_hits, 0);
-    }
-
-    #[test]
-    fn affinity_is_per_worker() {
-        let t = LeaseTable::new(Duration::from_secs(60));
-        let key = |task: &u32| (*task / 10) as u64;
-        t.submit(10u32); // page 1 → worker 0
-        t.submit(20u32); // page 2 → worker 1
-        t.submit(21u32); // page 2
-        t.submit(11u32); // page 1
-        assert_eq!(t.lease_with_affinity(0, key).unwrap().task, 10);
-        assert_eq!(t.lease_with_affinity(1, key).unwrap().task, 20);
-        // Each worker pulls the task matching *its own* warm page.
-        assert_eq!(t.lease_with_affinity(1, key).unwrap().task, 21);
-        assert_eq!(t.lease_with_affinity(0, key).unwrap().task, 11);
-        assert_eq!(t.stats().affinity_hits, 2);
-        assert!(t.lease_with_affinity(0, key).is_none());
     }
 
     #[test]

@@ -68,9 +68,7 @@ pub(crate) use {chaos_inject, chaos_point};
 
 pub use clock::Clock;
 pub use device::Device;
-pub use lease::{
-    AckOutcome, Backlog, Lease, LeaseCheckpoint, LeaseStats, LeaseTable, AFFINITY_WINDOW,
-};
+pub use lease::{AckOutcome, Backlog, Lease, LeaseCheckpoint, LeaseStats, LeaseTable};
 pub use queue::{DequeueOp, EnqueueOp, OpStep, Task, TaskQueue, SPIN_LIMIT};
 pub use simd::DispatchCounts;
 pub use warp::{select_kind, IntersectKind, WarpOps, WarpStats, WARP_SIZE};

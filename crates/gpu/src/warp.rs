@@ -25,7 +25,7 @@
 //! adaptive choice shows up in run stats and service metrics.
 //!
 //! Each kernel has two implementations sharing one batch driver
-//! ([`batch_loop`]): the scalar lanes in this module (the differential
+//! (`batch_loop`): the scalar lanes in this module (the differential
 //! oracle) and the AVX2 vector lanes in [`crate::simd`] (compiled on
 //! every x86-64 build, selected per warp at run time). Both charge the
 //! same deterministic memory-traffic model
@@ -119,7 +119,7 @@ pub struct WarpStats {
     /// Intersections executed with the galloping lane kernel.
     pub gallop_kernels: u64,
     /// Modeled operand bytes dereferenced by the lane kernels: 4 bytes
-    /// per `u32` the kernel reads from `A` or `B` (per [`batch_bytes`]'s
+    /// per `u32` the kernel reads from `A` or `B` (per `batch_bytes`'s
     /// per-strategy probe counts) plus 8 per extra indirection. This is
     /// a *deterministic cost model*, not a hardware counter — both the
     /// scalar and SIMD paths charge it from the same formula over
@@ -462,7 +462,7 @@ impl WarpOps {
     /// [`WarpOps::intersect_filtered`] with an explicit lane kernel.
     /// This is the one real entry point: the other three delegate here,
     /// so the empty-operand short-circuit, the dispatch decision and
-    /// the shared [`batch_loop`] accounting hold for every intersection
+    /// the shared `batch_loop` accounting hold for every intersection
     /// a warp issues.
     pub fn intersect_filtered_with<P, F>(
         &mut self,

@@ -203,7 +203,7 @@ impl CsrGraph {
     }
 
     /// Builds a CSR graph from *untrusted* parts, checking every
-    /// invariant [`from_parts`](Self::from_parts) only debug-asserts —
+    /// invariant `from_parts` only debug-asserts —
     /// monotone offsets, sorted in-range adjacency, symmetry, label
     /// coverage and the `i32` device-id range — and returning a typed
     /// [`GraphError`] instead of panicking (or silently accepting) on

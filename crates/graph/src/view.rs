@@ -4,7 +4,7 @@
 //! `tdfs-gpu`) consumes a data graph through exactly the same narrow
 //! surface: sorted neighbor slices, labels, degrees and the directed-arc
 //! stream. `GraphView` names that surface so the engines run unmodified
-//! over either the immutable [`CsrGraph`](crate::CsrGraph) or the
+//! over either the immutable [`CsrGraph`] or the
 //! batch-dynamic [`DeltaCsr`](crate::DeltaCsr) — the warp kernels only
 //! ever see `&[u32]` slices, so a view that can hand out sorted slices
 //! is indistinguishable from device-resident CSR.

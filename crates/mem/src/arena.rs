@@ -21,17 +21,6 @@ pub const PAGE_BYTES: usize = PAGE_INTS * 4;
 /// Index of a page within the arena.
 pub type PageId = u32;
 
-/// Locality key of a slice: which [`PAGE_BYTES`]-sized region of the
-/// address space its first element lives in. Two operands with equal
-/// keys share (at least) a page-sized window of memory, so scheduling
-/// their tasks onto the same worker keeps that window hot in its cache.
-/// The key is a *hint* — a pure function of the address, valid only
-/// while the backing allocation is alive, and never dereferenced.
-#[inline]
-pub fn locality_key(slice: &[u32]) -> u64 {
-    slice.as_ptr() as u64 / PAGE_BYTES as u64
-}
-
 const NIL: u32 = u32::MAX;
 
 /// A fixed pool of pages with lock-free alloc/free.
@@ -347,24 +336,5 @@ mod tests {
         let a = PageArena::new(3);
         let _p = a.alloc_page().unwrap();
         assert_eq!(a.peak_bytes(), PAGE_BYTES);
-    }
-
-    #[test]
-    fn locality_key_groups_by_page_window() {
-        let data = vec![0u32; 4 * PAGE_INTS];
-        // Slices exactly one page apart land in adjacent windows,
-        // whatever the allocation's alignment.
-        let k0 = locality_key(&data[0..8]);
-        let k1 = locality_key(&data[PAGE_INTS..PAGE_INTS + 8]);
-        assert_eq!(k1, k0 + 1);
-        // Two slices starting inside the same aligned window share a
-        // key: find the first window boundary inside the allocation.
-        let off = (PAGE_BYTES - (data.as_ptr() as usize % PAGE_BYTES)) % PAGE_BYTES / 4;
-        assert_eq!(
-            locality_key(&data[off..off + 8]),
-            locality_key(&data[off + 1..off + 9])
-        );
-        // Stable for the same slice.
-        assert_eq!(locality_key(&data[7..]), locality_key(&data[7..]));
     }
 }

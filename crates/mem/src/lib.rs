@@ -38,7 +38,7 @@ macro_rules! chaos_inject {
 
 pub(crate) use chaos_inject;
 
-pub use arena::{locality_key, PageArena, PageId, PAGE_BYTES, PAGE_INTS};
+pub use arena::{PageArena, PageId, PAGE_BYTES, PAGE_INTS};
 pub use budget::{ByteCharge, MemoryBudget};
 pub use level::{ArrayLevel, LevelStore, OverflowPolicy, StackError};
 pub use paged::{PagedLevel, DEFAULT_PAGE_TABLE_LEN};

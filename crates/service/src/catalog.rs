@@ -7,7 +7,7 @@
 //!
 //! Since the batch-dynamic subsystem, entries are [`DeltaCsr`] *views*
 //! rather than raw CSR: an immutable base plus copy-on-write edge
-//! deltas, stamped with a monotone [`GraphVersion`]. A static workload
+//! deltas, stamped with a monotone [`GraphVersion`](tdfs_graph::GraphVersion). A static workload
 //! is just the version-0 view over its base (zero overlay, zero extra
 //! indirection in the engines thanks to `GraphView` monomorphization).
 //! Mutation never edits an entry in place — `Service::apply` builds the

@@ -78,7 +78,7 @@ pub struct DurableConfig {
     /// recovery granularity and more lease traffic. A query with fewer
     /// than `num_warps × shard_edges` admitted edges gets smaller shards,
     /// one or more per shard worker, but none below four engine chunks
-    /// (see [`shard_target`]).
+    /// (see `shard_target`).
     pub shard_edges: usize,
     /// Lease duration; a shard not acked within it is considered
     /// stalled and reclaimed. Reclaiming a *live* worker is safe (its
@@ -410,7 +410,7 @@ fn shard_target(n: usize, workers: usize, chunk_size: usize, shard_edges: usize)
 /// Endpoint degree sum is the first-order work estimate; the shard
 /// count still follows `shard_edges`, so recovery granularity is
 /// unchanged on average. This is the single cutting policy for both the
-/// in-process durable path ([`fresh_state`]) and the cluster
+/// in-process durable path (`fresh_state`) and the cluster
 /// coordinator partitioning a query across nodes — identical cuts mean
 /// a shipped snapshot's shard ranges mean the same thing everywhere.
 pub fn shard_cuts<V: GraphView>(graph: &V, edges: &[(u32, u32)], shard_edges: usize) -> Vec<Shard> {
@@ -516,8 +516,9 @@ fn state_with(
 
 /// Runs a durable query to completion: spawns the shard workers, drives
 /// the watchdog on the calling thread, and returns the assembled
-/// result. The caller (the service worker) owns admission bookkeeping
-/// and outcome delivery.
+/// result. The caller — a service worker for a client query, the
+/// applying thread for a maintenance pass — owns the bookkeeping and
+/// what happens to the result.
 pub(crate) fn execute<V: GraphView>(
     state: &Arc<DurableState>,
     job: &DurableJob<'_, V>,
@@ -641,19 +642,7 @@ fn shard_worker<V: GraphView>(
             });
             continue;
         }
-        // Cache-conscious grant: shards whose first root edge's source
-        // row lives in the same page-sized window as this worker's
-        // previous shard are preferred within the lease table's bounded
-        // window — the degree-weighted shard cuts put neighboring (and
-        // thus page-sharing) edges in adjacent shards, so the match is
-        // common and keeps candidate pages hot per worker.
-        let locality = |s: &Shard| {
-            job.edges
-                .get(s.start as usize)
-                .map(|&(u, _)| tdfs_mem::locality_key(job.graph.neighbors(u)))
-                .unwrap_or(u64::MAX)
-        };
-        let Some(lease) = state.ledger.lease_with_affinity(wid, locality) else {
+        let Some(lease) = state.ledger.lease(wid) else {
             if state.ledger.drained() {
                 return;
             }
@@ -819,8 +808,8 @@ fn flush_emissions<V: GraphView>(
         .fetch_add(rows.len() as u64, Ordering::Relaxed);
 }
 
-/// The per-query watchdog, run on the service worker's own thread while
-/// the shard workers execute. Each tick: propagate cancellation, reap
+/// The per-query watchdog, run on the calling thread while the shard
+/// workers execute. Each tick: propagate cancellation, reap
 /// expired leases (straggler decomposition + zombie revocation), and
 /// check the wedge bound.
 fn watchdog<V: GraphView>(

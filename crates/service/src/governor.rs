@@ -29,7 +29,7 @@
 //!    ever occupy a worker, and a CoDel-style sojourn rule
 //!    ([`ShedPolicy::Sojourn`]) sheds the *newest low-priority* queued
 //!    work under sustained overload.
-//! 3. **Brownout.** A [`Breaker`] watches recent outcomes; when the
+//! 3. **Brownout.** A `Breaker` watches recent outcomes; when the
 //!    failure/shed ratio spikes it opens, rejecting new non-critical
 //!    work ([`crate::Rejected::BrownedOut`]) while in-flight and
 //!    high-priority queries proceed, and half-opens after a cooldown to

@@ -29,8 +29,8 @@ use tdfs_core::budgeted_map_options;
 use tdfs_core::engine::edge_admitted;
 use tdfs_core::retry::{retry, BackoffPolicy, Retry};
 use tdfs_core::{
-    host_filter_edges, match_plan_on_edges, CancelFlag, CollectSink, EngineError, MatchSink,
-    MatcherConfig, MemoryBudget, RunResult, RunStats,
+    host_filter_edges, CancelFlag, CollectSink, EngineError, MatchSink, MatcherConfig,
+    MemoryBudget, RunResult, RunStats,
 };
 use tdfs_gpu::lease::LeaseStats;
 use tdfs_graph::mapped::DEFAULT_CACHE_BYTES;
@@ -49,7 +49,7 @@ use crate::durable::{self, DurableConfig, DurableJob, DurableState, QueryProgres
 use crate::governor::{estimate_cost, Breaker, BreakerState, GovernorConfig, Priority, ShedPolicy};
 use crate::snapshot::{self, DecodeError, QuerySnapshot};
 use crate::standing::{
-    oriented_seeds, DedupSink, MatchDelta, NotifyFn, StandingQuery, StandingRequest,
+    oriented_seeds, DedupSink, DeltaSide, MatchDelta, NotifyFn, StandingQuery, StandingRequest,
 };
 
 /// Completed durable queries kept registered (snapshot-able and visible
@@ -238,6 +238,11 @@ pub enum ApplyError {
     /// same name); nothing was changed. Re-fetch and retry if the new
     /// entry is still the intended target.
     Conflict(String),
+    /// A standing query's maintenance pass failed (for example, its
+    /// stack configuration overflowed), so its delta for this batch
+    /// cannot be exact; nothing was changed. The same batch fails again
+    /// until that standing query is unregistered.
+    Maintenance(EngineError),
     /// The in-memory commit succeeded but persisting to the state
     /// directory failed: the catalog serves the new version, the disk
     /// still holds the previous one. A later successful
@@ -256,6 +261,12 @@ impl fmt::Display for ApplyError {
                 write!(
                     f,
                     "graph {name:?} was concurrently replaced; batch not applied"
+                )
+            }
+            ApplyError::Maintenance(e) => {
+                write!(
+                    f,
+                    "standing-query maintenance failed; batch not applied: {e}"
                 )
             }
             ApplyError::Storage(e) => {
@@ -292,6 +303,10 @@ pub struct ApplyReport {
     pub deleted: usize,
     /// Standing-query deltas delivered for this batch.
     pub notifications: usize,
+    /// Standing queries whose callback panicked on this batch's delta.
+    /// They are unregistered, so none of them sees a gap in its version
+    /// sequence; the batch itself is committed.
+    pub removed_standing: Vec<u64>,
 }
 
 /// One query to run.
@@ -323,10 +338,10 @@ pub struct QueryRequest {
     pub priority: Priority,
     /// Restrict the search to matches rooted at these initial edges
     /// (`None` = the full graph). Counts over disjoint seed subsets are
-    /// additive (see [`tdfs_core::match_plan_on_edges`]), which is what
-    /// lets a cluster node run one coordinator-granted shard of a query
-    /// as an ordinary service submission. Edges not admitted by the
-    /// plan's filter are skipped.
+    /// additive (every match is rooted at exactly one admitted initial
+    /// edge), which is what lets a cluster node run one
+    /// coordinator-granted shard of a query as an ordinary service
+    /// submission. Edges not admitted by the plan's filter are skipped.
     pub seed_edges: Option<Vec<(u32, u32)>>,
 }
 
@@ -525,9 +540,11 @@ pub struct ServiceMetrics {
     /// [`EngineError::WorkerPanicked`]; the worker keeps serving.
     pub worker_panics: u64,
     /// Queries that started executing (every query runs on the durable,
-    /// leased-shard path).
+    /// leased-shard path). Maintenance passes are not queries and are
+    /// not counted here.
     pub durable_queries: u64,
-    /// Shard leases granted across all durable queries.
+    /// Shard leases granted across all durable runs: client queries and
+    /// maintenance passes.
     pub leases_granted: u64,
     /// Leases reclaimed (expired stalls reaped + panicked shards
     /// failed).
@@ -548,19 +565,13 @@ pub struct ServiceMetrics {
     /// Standing-query deltas delivered (one per standing query per
     /// applied batch).
     pub standing_notifications: u64,
-    /// Delta deliveries retried after a drop (fault point
-    /// `service.notify.drop`); the version fence keeps the redeliveries
-    /// exactly-once.
-    pub notify_retries: u64,
-    /// Maintenance passes dispatched by [`Service::apply`] (one per
-    /// standing query × batch side × rooted plan).
+    /// Maintenance passes run by [`Service::apply`] (one per standing
+    /// query × batch side × rooted plan).
     pub maintenance_jobs: u64,
-    /// Maintenance passes that ran on the applying thread because queue
-    /// dispatch was rejected or the queued job failed/was shed.
+    /// Always 0: every maintenance pass runs on the applying thread, so
+    /// there is no queued pass to fall back from. Kept only because the
+    /// benchmark reads it.
     pub maintenance_inline_fallbacks: u64,
-    /// Shard leases granted to the worker whose cache already held the
-    /// shard's candidate page (cache-conscious task ordering).
-    pub lease_affinity_hits: u64,
     /// Intersections executed on the AVX2 vector lane path, process
     /// lifetime (from `tdfs_gpu::simd::dispatch_counts`). Each warp adds
     /// its count when it exits, so warps still running are not in it.
@@ -597,11 +608,10 @@ impl ServiceMetrics {
              budget {}/{} pages (peak {})\n\
              durable: {} queries, {} resumes; leases {} granted / {} reclaimed / {} fenced; \
              {} shards acked; {} snapshots ({} bytes)\n\
-             dynamic: {} batches applied, {} standing notifications ({} retried), \
-             {} maintenance jobs ({} inline fallbacks)\n\
+             dynamic: {} batches applied, {} standing notifications, \
+             {} maintenance jobs\n\
              engine kernels: {} merge, {} bsearch, {} gallop\n\
-             engine traffic: {:.3} MB touched; dispatch {} simd / {} scalar; \
-             {} affinity lease hits\n\
+             engine traffic: {:.3} MB touched; dispatch {} simd / {} scalar\n\
              plan cache: {} hits, {} misses, {} evictions, {} presentation rebuilds",
             self.admitted,
             self.rejected_queue_full,
@@ -636,16 +646,13 @@ impl ServiceMetrics {
             self.snapshot_bytes,
             self.batches_applied,
             self.standing_notifications,
-            self.notify_retries,
             self.maintenance_jobs,
-            self.maintenance_inline_fallbacks,
             self.engine.warp.merge_kernels,
             self.engine.warp.bsearch_kernels,
             self.engine.warp.gallop_kernels,
             self.engine.warp.bytes_touched as f64 / (1 << 20) as f64,
             self.simd_intersections,
             self.scalar_intersections,
-            self.lease_affinity_hits,
             self.plan_cache.hits,
             self.plan_cache.misses,
             self.plan_cache.evictions,
@@ -654,37 +661,42 @@ impl ServiceMetrics {
     }
 }
 
-struct Job {
+/// What one durable run executes ([`run_durable`]): a client query's
+/// [`Job`], or one standing query's maintenance passes over one side of
+/// a batch.
+struct RunSpec {
+    /// Service-assigned query id; 0 for maintenance passes, which are
+    /// not queries and never enter the durable registry.
     id: u64,
     graph_name: String,
-    /// The exact graph *view* this job enumerates. Client queries get
-    /// the catalog entry at submission; maintenance jobs may carry a
+    /// The exact graph *view* this run enumerates. Client queries get
+    /// the catalog entry at submission; maintenance passes may run on a
     /// not-yet-published successor view (insert-side counting runs
     /// before `Service::apply` commits).
     graph: Arc<DeltaCsr>,
     pattern: Pattern,
     config: MatcherConfig,
-    deadline: Option<Duration>,
-    collect_limit: Option<usize>,
     sink: Option<Arc<dyn MatchSink + Send + Sync>>,
     cancel: CancelFlag,
-    priority: Priority,
-    /// Pre-compiled plan override. Maintenance jobs carry their rooted
-    /// (anchor-pinned, symmetry-free) plans, which must bypass the
-    /// cache — a rooted plan is not what `get_or_build` would compile
-    /// for the pattern.
-    plan: Option<Arc<QueryPlan>>,
     /// When set, the run enumerates only from these directed seed edges
     /// (filtered by plan admission) instead of the graph's full
     /// admitted-edge list — the delta-edge-anchored maintenance sweep.
     seed_edges: Option<Vec<(u32, u32)>>,
-    /// Per-query scope of the service memory budget (when configured):
+    /// Per-run scope of the service memory budget (when configured):
     /// attached to the engine config at execution so arena pages are
     /// charged against the global budget, and readable by the governor
     /// to rank in-flight queries by footprint.
     scope: Option<MemoryBudget>,
-    /// Set when this job continues a checkpointed query.
+    /// Set when this run continues a checkpointed query.
     resume: Option<QuerySnapshot>,
+}
+
+/// A client query in the admission queue.
+struct Job {
+    run: RunSpec,
+    deadline: Option<Duration>,
+    collect_limit: Option<usize>,
+    priority: Priority,
     submitted: Instant,
     tx: mpsc::Sender<QueryOutcome>,
 }
@@ -811,19 +823,6 @@ fn lock_breaker(inner: &Inner) -> std::sync::MutexGuard<'_, Breaker> {
         .breaker
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Feeds a client sink the engine's position-indexed matches remapped
-/// to pattern-vertex indexing.
-struct ServiceSink<'a> {
-    client: &'a dyn MatchSink,
-    plan: &'a QueryPlan,
-}
-
-impl MatchSink for ServiceSink<'_> {
-    fn emit(&self, m: &[u32]) {
-        self.client.emit(&self.plan.by_vertex(m));
-    }
 }
 
 /// The multi-tenant query service.
@@ -1157,44 +1156,41 @@ impl Service {
             *next
         };
         let job = Job {
-            id,
-            graph_name: request.graph,
-            graph,
-            pattern: request.pattern,
-            config: request.config,
+            run: RunSpec {
+                id,
+                graph_name: request.graph,
+                graph,
+                pattern: request.pattern,
+                config: request.config,
+                sink: request.sink,
+                cancel: cancel.clone(),
+                seed_edges: request.seed_edges,
+                scope: self.inner.budget.as_ref().map(MemoryBudget::scoped),
+                resume: None,
+            },
             deadline,
             collect_limit: request.collect_limit,
-            sink: request.sink,
-            cancel: cancel.clone(),
             priority: request.priority,
-            plan: None,
-            seed_edges: request.seed_edges,
-            scope: self.inner.budget.as_ref().map(MemoryBudget::scoped),
-            resume: None,
             submitted: Instant::now(),
             tx,
         };
-        self.enqueue_job(job).map_err(|(_, r)| r)?;
+        self.enqueue_job(job)?;
         Ok(QueryHandle { id, cancel, rx })
     }
 
-    /// Pushes an already-built job through admission control. A
-    /// rejection hands the job back so internal callers (maintenance
-    /// dispatch) can retry or fall back inline — returning the job by
-    /// value is the point, so the large `Err` variant is deliberate.
-    #[allow(clippy::result_large_err)]
-    fn enqueue_job(&self, job: Job) -> Result<(), (Job, Rejected)> {
+    /// Pushes an already-built job through admission control.
+    fn enqueue_job(&self, job: Job) -> Result<(), Rejected> {
         {
             let mut q = self.inner.queue.lock().expect("queue poisoned");
             if q.shutting_down {
                 drop(q);
                 lock_metrics(&self.inner).rejected_shutdown += 1;
-                return Err((job, Rejected::ShuttingDown));
+                return Err(Rejected::ShuttingDown);
             }
             if q.jobs.len() >= self.inner.queue_capacity {
                 drop(q);
                 lock_metrics(&self.inner).rejected_queue_full += 1;
-                return Err((job, Rejected::QueueFull));
+                return Err(Rejected::QueueFull);
             }
             q.jobs.push_back(job);
         }
@@ -1229,7 +1225,7 @@ impl Service {
             .expect("queue poisoned")
             .jobs
             .iter()
-            .any(|j| j.id == query_id);
+            .any(|j| j.run.id == query_id);
         Err(if queued {
             SnapshotError::NotStarted(query_id)
         } else {
@@ -1257,7 +1253,7 @@ impl Service {
                 .expect("queue poisoned")
                 .jobs
                 .iter()
-                .any(|j| j.id == query_id);
+                .any(|j| j.run.id == query_id);
             return Err(if queued {
                 SnapshotError::NotStarted(query_id)
             } else {
@@ -1352,25 +1348,25 @@ impl Service {
             *next
         };
         let job = Job {
-            id,
-            graph_name: snap.graph.clone(),
-            graph,
-            pattern: snap.pattern.clone(),
-            config: snap.config.clone(),
+            run: RunSpec {
+                id,
+                graph_name: snap.graph.clone(),
+                graph,
+                pattern: snap.pattern.clone(),
+                config: snap.config.clone(),
+                sink: None,
+                cancel: cancel.clone(),
+                seed_edges: None,
+                scope: self.inner.budget.as_ref().map(MemoryBudget::scoped),
+                resume: Some(snap),
+            },
             deadline: self.inner.default_deadline,
             collect_limit: None,
-            sink: None,
-            cancel: cancel.clone(),
             priority: Priority::Normal,
-            plan: None,
-            seed_edges: None,
-            scope: self.inner.budget.as_ref().map(MemoryBudget::scoped),
-            resume: Some(snap),
             submitted: Instant::now(),
             tx,
         };
-        self.enqueue_job(job)
-            .map_err(|(_, r)| ResumeError::Rejected(r))?;
+        self.enqueue_job(job).map_err(ResumeError::Rejected)?;
         lock_metrics(&self.inner).resumes += 1;
         Ok(QueryHandle { id, cancel, rx })
     }
@@ -1385,7 +1381,10 @@ impl Service {
     /// synchronously from the applying thread, after commit, in version
     /// order, exactly once per version. The callback must not call back
     /// into [`Service::apply`] (it runs under the apply lock) and
-    /// should return quickly; offload heavy reactions to a channel.
+    /// should return quickly; offload heavy reactions to a channel. A
+    /// callback that panics is unregistered; the apply still completes,
+    /// delivers to the other subscribers, and lists the id in
+    /// [`ApplyReport::removed_standing`].
     pub fn register_standing<F>(
         &self,
         request: StandingRequest,
@@ -1429,9 +1428,15 @@ impl Service {
     /// catalog swap, stale plan-cache generation dropped, overlay
     /// memory re-charged — and notifies subscribers.
     ///
-    /// The batch is all-or-nothing: a failure (or a crash at the
+    /// The maintenance passes run on the calling thread, through the
+    /// same durable shard loop as client queries but not through the
+    /// admission queue: `apply` holds the apply lock, so a pass queued
+    /// behind client work would hold every later apply behind it too.
+    ///
+    /// The batch is all-or-nothing: a failure — a failed maintenance
+    /// pass ([`ApplyError::Maintenance`]), or a crash at the
     /// `graph.apply.midbatch` fault point, which fires *after* the
-    /// deltas are computed and *before* the commit) leaves the catalog,
+    /// deltas are computed and *before* the commit — leaves the catalog,
     /// cache, budget and subscribers exactly as they were. In-flight
     /// queries keep enumerating the view they started on.
     pub fn apply(&self, name: &str, batch: &EdgeBatch) -> Result<ApplyReport, ApplyError> {
@@ -1449,16 +1454,21 @@ impl Service {
         let version = next.version();
         // Incremental maintenance, pre-commit. The removed side counts
         // on the still-published pre view; the added side counts on the
-        // successor no client can reach yet.
-        let standing: Vec<Arc<StandingQuery>> = lock_standing(&self.inner)
-            .values()
-            .filter(|sq| sq.graph == name)
-            .cloned()
+        // successor no client can reach yet. A failed pass fails the
+        // apply here, before anything commits.
+        let standing: Vec<(u64, Arc<StandingQuery>)> = lock_standing(&self.inner)
+            .iter()
+            .filter(|(_, sq)| sq.graph == name)
+            .map(|(&id, sq)| (id, sq.clone()))
             .collect();
-        let mut deltas: Vec<(Arc<StandingQuery>, MatchDelta)> = Vec::with_capacity(standing.len());
-        for sq in standing {
-            let (removed, removed_embeddings) = self.maintain(&sq, &pre, &applied.deleted);
-            let (added, added_embeddings) = self.maintain(&sq, &next, &applied.inserted);
+        let mut deltas = Vec::with_capacity(standing.len());
+        for (id, sq) in standing {
+            let (removed, removed_embeddings) = self
+                .maintain(&sq, &pre, &applied.deleted)
+                .map_err(ApplyError::Maintenance)?;
+            let (added, added_embeddings) = self
+                .maintain(&sq, &next, &applied.inserted)
+                .map_err(ApplyError::Maintenance)?;
             let delta = MatchDelta {
                 graph: name.to_owned(),
                 version,
@@ -1467,7 +1477,7 @@ impl Service {
                 added_embeddings,
                 removed_embeddings,
             };
-            deltas.push((sq, delta));
+            deltas.push((id, sq, delta));
         }
         // Kill point between compute and commit: a panic here must be
         // invisible — nothing below has run, nothing above published.
@@ -1485,31 +1495,28 @@ impl Service {
             b.release_bytes(pre.overlay_bytes());
         }
         lock_metrics(&self.inner).batches_applied += 1;
-        // Delivery is at-least-once per attempt (`service.notify.drop`
-        // models a lost notification; the loop redelivers) fenced to
-        // exactly-once per version by `last_version`.
+        // One call per subscriber, each behind its own unwind boundary:
+        // the batch is already committed, so a panicking callback must
+        // not cost the other subscribers their delta or skip the sidecar
+        // write below. The panicking subscription is removed, so it never
+        // sees a gap in its version sequence.
         let mut notifications = 0usize;
-        for (sq, delta) in &deltas {
+        let mut removed_standing = Vec::new();
+        for (id, sq, delta) in &deltas {
             if sq.last_version.load(Ordering::Acquire) >= version {
                 continue;
             }
-            let delivered: Result<(), ()> = retry(
-                &BackoffPolicy::unbounded(Duration::ZERO, Duration::ZERO),
-                |attempt| {
-                    if attempt > 0 {
-                        lock_metrics(&self.inner).notify_retries += 1;
-                    }
-                    if crate::chaos_inject!("service.notify.drop") {
-                        Retry::Again(())
-                    } else {
-                        (sq.callback)(delta);
-                        Retry::Done(())
-                    }
-                },
-            );
-            debug_assert!(delivered.is_ok(), "unbounded retry cannot exhaust");
             sq.last_version.store(version, Ordering::Release);
-            notifications += 1;
+            match std::panic::catch_unwind(AssertUnwindSafe(|| (sq.callback)(delta))) {
+                Ok(()) => notifications += 1,
+                Err(_) => removed_standing.push(*id),
+            }
+        }
+        if !removed_standing.is_empty() {
+            let mut registry = lock_standing(&self.inner);
+            for id in &removed_standing {
+                registry.remove(id);
+            }
         }
         lock_metrics(&self.inner).standing_notifications += notifications as u64;
         // Persist the cumulative overlay *after* the commit: the batch
@@ -1534,6 +1541,7 @@ impl Service {
             inserted: applied.inserted.len(),
             deleted: applied.deleted.len(),
             notifications,
+            removed_standing,
         })
     }
 
@@ -1590,102 +1598,35 @@ impl Service {
     /// One side of a standing query's delta: the number (and optionally
     /// embeddings) of `sq.pattern` matches in `view` through at least
     /// one `changed` edge. Runs one anchored pass per rooted plan, all
-    /// feeding one canonicalizing dedup sink.
+    /// feeding one canonicalizing dedup sink, on the calling thread
+    /// through the durable run client queries use ([`run_durable`]).
     fn maintain(
         &self,
-        sq: &Arc<StandingQuery>,
+        sq: &StandingQuery,
         view: &Arc<DeltaCsr>,
         changed: &[(u32, u32)],
-    ) -> (u64, Option<Vec<Vec<u32>>>) {
+    ) -> Result<DeltaSide, EngineError> {
         let sink = Arc::new(DedupSink::new(sq.aut.clone(), sq.report_embeddings));
         if changed.is_empty() {
-            return sink.take();
+            return Ok(sink.take());
         }
-        let seeds = oriented_seeds(changed);
-        for plan in &sq.plans {
-            self.maintenance_pass(sq, view, plan, &seeds, &sink);
-        }
-        sink.take()
-    }
-
-    /// Runs one (rooted plan × seed list) maintenance pass: dispatched
-    /// through the normal admission queue as a durable Low-priority job
-    /// — so maintenance rides the lease/straggler/governor machinery
-    /// and yields to client work — with a bounded-retry, then-inline
-    /// fallback. The dedup sink is idempotent, so "queued attempt shed
-    /// mid-run, then full inline re-run" still counts exactly.
-    fn maintenance_pass(
-        &self,
-        sq: &Arc<StandingQuery>,
-        view: &Arc<DeltaCsr>,
-        plan: &Arc<QueryPlan>,
-        seeds: &[(u32, u32)],
-        sink: &Arc<DedupSink>,
-    ) {
-        const DISPATCH_RETRIES: usize = 3;
-        lock_metrics(&self.inner).maintenance_jobs += 1;
-        let (tx, rx) = mpsc::channel();
-        let id = {
-            let mut next = self.inner.next_id.lock().expect("id poisoned");
-            *next += 1;
-            *next
-        };
-        let mut job = Some(Job {
-            id,
+        let run = RunSpec {
+            id: 0,
             graph_name: sq.graph.clone(),
             graph: view.clone(),
             pattern: sq.pattern.clone(),
             config: sq.config.clone(),
-            deadline: None,
-            collect_limit: None,
-            sink: Some(sink.clone() as Arc<dyn MatchSink + Send + Sync>),
+            sink: Some(sink.clone()),
             cancel: CancelFlag::new(),
-            priority: Priority::Low,
-            plan: Some(plan.clone()),
-            seed_edges: Some(seeds.to_vec()),
+            seed_edges: Some(oriented_seeds(changed)),
             scope: self.inner.budget.as_ref().map(MemoryBudget::scoped),
             resume: None,
-            submitted: Instant::now(),
-            tx,
-        });
-        let dispatch_policy = BackoffPolicy::new(
-            DISPATCH_RETRIES as u32,
-            Duration::from_micros(200),
-            Duration::from_millis(2),
-        );
-        let _ = retry(&dispatch_policy, |_| {
-            match self.enqueue_job(job.take().expect("job present until admitted")) {
-                Ok(()) => Retry::Done(()),
-                Err((j, Rejected::QueueFull)) => {
-                    job = Some(j);
-                    Retry::Again(())
-                }
-                Err((j, _)) => {
-                    // Shutdown (or any final rejection): run inline.
-                    job = Some(j);
-                    Retry::Fatal(())
-                }
-            }
-        });
-        let admitted = job.is_none();
-        drop(job); // a never-admitted job still holds its result sender
-        let completed = admitted && matches!(rx.recv(), Ok(out) if out.result.is_ok());
-        if !completed {
-            // Inline fallback on the applying thread. The queued
-            // attempt (if any) may have emitted partially before being
-            // shed; the idempotent sink absorbs the overlap.
-            lock_metrics(&self.inner).maintenance_inline_fallbacks += 1;
-            let admitted_seeds: Vec<(u32, u32)> = seeds
-                .iter()
-                .copied()
-                .filter(|&(u, v)| edge_admitted(&**view, plan, u, v))
-                .collect();
-            let remap = ServiceSink {
-                client: sink.as_ref(),
-                plan,
-            };
-            let _ = match_plan_on_edges(&**view, plan, &sq.config, admitted_seeds, Some(&remap));
+        };
+        for plan in &sq.plans {
+            lock_metrics(&self.inner).maintenance_jobs += 1;
+            run_durable(&self.inner, &run, plan, None, None, Instant::now(), false).1?;
         }
+        Ok(sink.take())
     }
 
     /// Live progress of a query (pending/outstanding/acked shards,
@@ -1754,7 +1695,6 @@ impl Service {
         m.leases_granted = leases.granted;
         m.leases_reclaimed = leases.reclaimed;
         m.leases_fenced = leases.fenced;
-        m.lease_affinity_hits = leases.affinity_hits;
         m.tasks_acked = leases.acked;
         m.breaker_state = lock_breaker(&self.inner).state();
         if let Some(b) = &self.inner.budget {
@@ -1990,49 +1930,20 @@ fn govern_once(inner: &Arc<Inner>, local: &mut GovernorLocal, now: Instant) {
     }
 }
 
-/// The plan a job runs: its pre-compiled override (maintenance jobs
-/// carry rooted plans the cache must not serve) or the cache's plan for
-/// (graph, version, pattern, options).
-fn job_plan(inner: &Inner, job: &Job) -> Arc<QueryPlan> {
-    match &job.plan {
-        Some(p) => p.clone(),
-        None => inner.cache.get_or_build(
-            &job.graph_name,
-            job.graph.version(),
-            &job.pattern,
-            job.config.plan,
-        ),
-    }
-}
-
-/// A maintenance job's seed edges, filtered by the plan's first-two-
-/// level admission predicate — the same gate `host_filter_edges`
-/// applies to a full scan, so the engines only ever see admissible
-/// initial tasks.
-fn admitted_seeds(job: &Job, plan: &QueryPlan) -> Vec<(u32, u32)> {
-    job.seed_edges
-        .as_deref()
-        .unwrap_or(&[])
-        .iter()
-        .copied()
-        .filter(|&(u, v)| edge_admitted(&*job.graph, plan, u, v))
-        .collect()
-}
-
-/// Executes a query: shard the admitted edge list into a lease ledger,
-/// run shard workers under the per-query watchdog, and publish counts
-/// through epoch-fenced acks. See [`crate::durable`].
+/// Executes a client query: plan from the cache, then one durable run
+/// (see [`crate::durable`]) whose outcome goes to the client.
 fn run_job(inner: &Inner, job: &Job) {
+    let run = &job.run;
     // Disk-resident graph: pin the decode cache for the whole run — the
     // engines hold neighbor slices across deep DFS descents, and the
     // scope lets concurrent eviction reclaim *other* queries' segments
     // without invalidating this one's.
-    let _scope = job.graph.pin_scope();
+    let _scope = run.graph.pin_scope();
     let start = Instant::now();
     // The engine time limit and the from-submission deadline combine
     // into one absolute instant each shard derives its remaining budget
     // from.
-    let mut deadline_at = job.config.time_limit.map(|l| start + l);
+    let mut deadline_at = run.config.time_limit.map(|l| start + l);
     if let Some(d) = job.deadline {
         let abs = job.submitted + d;
         if Instant::now() > abs {
@@ -2042,64 +1953,29 @@ fn run_job(inner: &Inner, job: &Job) {
         }
         deadline_at = Some(deadline_at.map_or(abs, |x| x.min(abs)));
     }
-    let plan = job_plan(inner, job);
-    let edges = match &job.seed_edges {
-        Some(_) => admitted_seeds(job, &plan),
-        None => host_filter_edges(&*job.graph, &plan),
-    };
-    // The state's stored config is what a snapshot serializes: the
-    // run-scoped cancel token, time limit and budget scope are not part
-    // of the query's durable identity.
-    let mut durable_config = job.config.clone();
-    durable_config.cancel = None;
-    durable_config.time_limit = None;
-    durable_config.memory_budget = None;
-    let state = match &job.resume {
-        Some(snap) => durable::resumed_state(job.id, snap, &inner.durable_cfg, job.scope.clone()),
-        None => durable::fresh_state(
-            job.id,
-            job.graph_name.clone(),
-            job.graph.version(),
-            job.pattern.clone(),
-            durable_config,
-            &*job.graph,
-            &edges,
-            &inner.durable_cfg,
-            job.scope.clone(),
-        ),
-    };
-    lock_durable(inner)
-        .states
-        .insert(job.id, Arc::clone(&state));
-    lock_metrics(inner).durable_queries += 1;
-
+    let plan = inner.cache.get_or_build(
+        &run.graph_name,
+        run.graph.version(),
+        &run.pattern,
+        run.config.plan,
+    );
     let collector = job
         .collect_limit
-        .map(|limit| CollectSink::with_cancel(limit, job.cancel.clone()));
-    // The execution config (unlike the stored one) carries the budget
-    // scope, so every shard's arena pages charge the service budget.
-    let mut exec_config = job.config.clone();
-    if job.scope.is_some() {
-        exec_config.memory_budget = job.scope.clone();
-    }
-    let djob = DurableJob {
-        graph: &job.graph,
-        plan: &plan,
-        config: &exec_config,
-        edges: &edges,
-        cancel: &job.cancel,
-        deadline: deadline_at,
-        collector: collector.as_ref(),
-        client: job.sink.as_deref().map(|s| s as &dyn MatchSink),
-    };
-    let result = durable::execute(&state, &djob, &inner.durable_cfg, start);
+        .map(|limit| CollectSink::with_cancel(limit, run.cancel.clone()));
+    let (state, result) = run_durable(
+        inner,
+        run,
+        &plan,
+        deadline_at,
+        collector.as_ref(),
+        start,
+        true,
+    );
     let matches = collector.map(|c| c.into_matches().iter().map(|m| plan.by_vertex(m)).collect());
-
-    state.done.store(true, Ordering::Relaxed);
     // A query that ran out of time (or was shed mid-run) still has an
     // exact counted lower bound: the sum published by accepted
     // acks, with the shard completion ratio alongside it. Computed after
-    // `execute` returned, so the ledger is quiescent.
+    // the run returned, so the ledger is quiescent.
     let partial = match &result {
         Err(EngineError::TimeLimit) | Err(EngineError::Shed) => Some(PartialResult {
             lower_bound: state.matches.load(Ordering::Relaxed),
@@ -2110,12 +1986,90 @@ fn run_job(inner: &Inner, job: &Job) {
         }),
         _ => None,
     };
-    {
-        // Retain the completed state (bounded) so post-completion
-        // snapshots and progress probes still resolve; fold evicted
-        // ledgers into the lifetime base counters.
-        let mut reg = lock_durable(inner);
-        reg.finished.push_back(job.id);
+    finish(inner, job, result, matches, partial);
+}
+
+/// The one durable run behind every engine call in the service, for a
+/// client query ([`run_job`]) and for a maintenance pass
+/// (`Service::maintain`): shards the run's admitted edges into a fresh
+/// lease ledger (or continues its checkpoint's), then runs the shard
+/// workers under the per-run watchdog and publishes counts through
+/// epoch-fenced acks. A `register`ed run is in the durable registry
+/// from before its first shard until it leaves the retention window,
+/// so snapshots, suspends and progress probes reach it.
+fn run_durable(
+    inner: &Inner,
+    run: &RunSpec,
+    plan: &QueryPlan,
+    deadline: Option<Instant>,
+    collector: Option<&CollectSink>,
+    start: Instant,
+    register: bool,
+) -> (Arc<DurableState>, Result<RunResult, EngineError>) {
+    // Seed edges pass the plan's first-two-level admission predicate —
+    // the same gate `host_filter_edges` applies to a full scan — so the
+    // engines only ever see admissible initial tasks.
+    let edges = match &run.seed_edges {
+        Some(seeds) => seeds
+            .iter()
+            .copied()
+            .filter(|&(u, v)| edge_admitted(&*run.graph, plan, u, v))
+            .collect(),
+        None => host_filter_edges(&*run.graph, plan),
+    };
+    let state = match &run.resume {
+        Some(snap) => durable::resumed_state(run.id, snap, &inner.durable_cfg, run.scope.clone()),
+        None => {
+            // The state's stored config is what a snapshot serializes:
+            // the run-scoped cancel token, time limit and budget scope
+            // are not part of the query's durable identity.
+            let mut stored = run.config.clone();
+            stored.cancel = None;
+            stored.time_limit = None;
+            stored.memory_budget = None;
+            durable::fresh_state(
+                run.id,
+                run.graph_name.clone(),
+                run.graph.version(),
+                run.pattern.clone(),
+                stored,
+                &*run.graph,
+                &edges,
+                &inner.durable_cfg,
+                run.scope.clone(),
+            )
+        }
+    };
+    if register {
+        lock_durable(inner)
+            .states
+            .insert(run.id, Arc::clone(&state));
+        lock_metrics(inner).durable_queries += 1;
+    }
+    // The execution config (unlike the stored one) carries the budget
+    // scope, so every shard's arena pages charge the service budget.
+    let mut exec_config = run.config.clone();
+    if run.scope.is_some() {
+        exec_config.memory_budget = run.scope.clone();
+    }
+    let djob = DurableJob {
+        graph: &*run.graph,
+        plan,
+        config: &exec_config,
+        edges: &edges,
+        cancel: &run.cancel,
+        deadline,
+        collector,
+        client: run.sink.as_deref().map(|s| s as &dyn MatchSink),
+    };
+    let result = durable::execute(&state, &djob, &inner.durable_cfg, start);
+    state.done.store(true, Ordering::Relaxed);
+    // Retain a registered state (bounded) so post-completion snapshots
+    // and progress probes still resolve; fold evicted ledgers, and a
+    // pass's at once, into the lifetime base counters.
+    let mut reg = lock_durable(inner);
+    if register {
+        reg.finished.push_back(run.id);
         while reg.finished.len() > DURABLE_RETAIN {
             let evicted = reg.finished.pop_front().expect("non-empty");
             if let Some(s) = reg.states.remove(&evicted) {
@@ -2123,8 +2077,11 @@ fn run_job(inner: &Inner, job: &Job) {
                 reg.base.merge(&stats);
             }
         }
+    } else {
+        reg.base.merge(&state.lease_stats());
     }
-    finish(inner, job, result, matches, partial);
+    drop(reg);
+    (state, result)
 }
 
 fn finish(
@@ -2167,7 +2124,7 @@ fn finish(
     // The client may have dropped its handle; the outcome is then simply
     // discarded.
     let _ = job.tx.send(QueryOutcome {
-        query_id: job.id,
+        query_id: job.run.id,
         result,
         matches,
         partial,
@@ -2274,8 +2231,20 @@ mod tests {
 
     fn raise_flag(pair: &(Mutex<bool>, Condvar)) {
         let (m, c) = pair;
-        *m.lock().unwrap() = true;
+        *m.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
         c.notify_all();
+    }
+
+    /// Raises a pinned worker's release flag when dropped, so a test
+    /// that panics while the worker is pinned fails instead of hanging
+    /// in `Service`'s drop, which joins the worker. Declare it after the
+    /// service: locals drop in reverse order.
+    struct ReleaseOnDrop(Arc<(Mutex<bool>, Condvar)>);
+
+    impl Drop for ReleaseOnDrop {
+        fn drop(&mut self) {
+            raise_flag(&self.0);
+        }
     }
 
     #[test]
@@ -2288,10 +2257,10 @@ mod tests {
         });
         svc.register_graph("k5", k5());
         let entered = Arc::new((Mutex::new(false), Condvar::new()));
-        let release = Arc::new((Mutex::new(false), Condvar::new()));
+        let release = ReleaseOnDrop(Arc::new((Mutex::new(false), Condvar::new())));
         let sink = Arc::new(BlockingSink {
             entered: entered.clone(),
-            release: release.clone(),
+            release: release.0.clone(),
         });
         let blocker = svc
             .submit(QueryRequest::new("k5", Pattern::clique(3)).with_sink(sink))
@@ -2305,7 +2274,7 @@ mod tests {
             .submit(QueryRequest::new("k5", Pattern::clique(3)))
             .unwrap_err();
         assert_eq!(err, Rejected::QueueFull);
-        raise_flag(&release);
+        drop(release);
         assert!(blocker.wait().result.is_ok());
         assert!(queued.wait().result.is_ok());
         let m = svc.metrics();
@@ -2324,10 +2293,10 @@ mod tests {
         });
         svc.register_graph("k5", k5());
         let entered = Arc::new((Mutex::new(false), Condvar::new()));
-        let release = Arc::new((Mutex::new(false), Condvar::new()));
+        let release = ReleaseOnDrop(Arc::new((Mutex::new(false), Condvar::new())));
         let sink = Arc::new(BlockingSink {
             entered: entered.clone(),
-            release: release.clone(),
+            release: release.0.clone(),
         });
         let blocker = svc
             .submit(QueryRequest::new("k5", Pattern::clique(3)).with_sink(sink))
@@ -2349,7 +2318,7 @@ mod tests {
             4,
             "all 4 attempts rejected"
         );
-        raise_flag(&release);
+        drop(release);
         assert!(blocker.wait().result.is_ok());
         assert!(queued.wait().result.is_ok());
     }
@@ -2364,10 +2333,10 @@ mod tests {
         }));
         svc.register_graph("k5", k5());
         let entered = Arc::new((Mutex::new(false), Condvar::new()));
-        let release = Arc::new((Mutex::new(false), Condvar::new()));
+        let release = ReleaseOnDrop(Arc::new((Mutex::new(false), Condvar::new())));
         let sink = Arc::new(BlockingSink {
             entered: entered.clone(),
-            release: release.clone(),
+            release: release.0.clone(),
         });
         let blocker = svc
             .submit(QueryRequest::new("k5", Pattern::clique(3)).with_sink(sink))
@@ -2393,7 +2362,7 @@ mod tests {
         while svc.metrics().admission_retries == 0 {
             std::thread::sleep(Duration::from_micros(200));
         }
-        raise_flag(&release);
+        drop(release);
         let handle = retrier.join().unwrap().expect("retry should be admitted");
         assert!(blocker.wait().result.is_ok());
         assert!(queued.wait().result.is_ok());

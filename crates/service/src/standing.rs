@@ -35,7 +35,7 @@
 //! symmetry breaking (a symmetry constraint could discard exactly the
 //! orientation that passes through the changed edge), so the same class
 //! can surface several times — once per changed edge it contains, per
-//! orbit, per orientation. The [`DedupSink`] collapses those to one
+//! orbit, per orientation. The `DedupSink` collapses those to one
 //! canonical representative per automorphism class, which makes the
 //! reported counts *subgraph* counts, the same unit the symmetry-broken
 //! engines and [`tdfs_core::reference_count`] report.
@@ -67,9 +67,8 @@ pub struct MatchDelta {
     /// Catalog name of the mutated graph.
     pub graph: String,
     /// The [`tdfs_graph::GraphVersion`] the graph reached with this
-    /// batch. Strictly increasing across the deltas a subscriber sees —
-    /// the service's notify retry loop deduplicates redeliveries by
-    /// version, so each version is delivered exactly once.
+    /// batch. Strictly increasing across the deltas a subscriber sees:
+    /// each version is delivered once, by one call.
     pub version: u64,
     /// Matches present in the new version that were not in the old.
     pub added: u64,
@@ -121,7 +120,8 @@ impl StandingRequest {
 }
 
 /// Subscriber callback. Invoked synchronously from
-/// [`crate::Service::apply`], once per applied batch, after commit.
+/// [`crate::Service::apply`], once per applied batch, after commit. A
+/// callback that panics is unregistered.
 pub type NotifyFn = dyn Fn(&MatchDelta) + Send + Sync;
 
 /// A registered standing query (internal registry entry).
@@ -142,9 +142,8 @@ pub(crate) struct StandingQuery {
     pub(crate) plans: Vec<Arc<QueryPlan>>,
     /// Where deltas go.
     pub(crate) callback: Arc<NotifyFn>,
-    /// Highest graph version already delivered — the fence that turns
-    /// the at-least-once notify retry loop (fault point
-    /// `service.notify.drop`) into exactly-once delivery.
+    /// Highest graph version already delivered: a delta at or below it
+    /// is never delivered.
     pub(crate) last_version: AtomicU64,
 }
 
@@ -193,18 +192,21 @@ pub(crate) fn oriented_seeds(changed: &[(u32, u32)]) -> Vec<(u32, u32)> {
     out
 }
 
+/// One side of a delta: the distinct match count, plus the sorted
+/// embeddings when the subscription tracks them.
+pub(crate) type DeltaSide = (u64, Option<Vec<Vec<u32>>>);
+
 /// Canonicalizing match collector shared by every maintenance pass of
 /// one (standing query × batch side): anchored enumeration visits the
 /// same subgraph once per (changed edge it contains × orbit ×
 /// orientation), and this sink collapses the repeats to one canonical
 /// representative per automorphism class.
 ///
-/// Receives **pattern-vertex-indexed** assignments: on the queued path
-/// the service's fan-out sink remaps matching-order positions before
-/// the client sink, and the inline fallback wraps itself in the same
-/// remapper. Insertion is idempotent, which is what lets a shed or
-/// killed maintenance job simply re-run (queued or inline) without
-/// double counting.
+/// Receives **pattern-vertex-indexed** assignments: the durable run
+/// remaps matching-order positions before it feeds a client sink.
+/// Insertion is idempotent, which keeps the count exact when a
+/// reclaimed shard's emissions arrive twice (emissions are
+/// at-least-once under lease reclaim races; see [`crate::durable`]).
 pub(crate) struct DedupSink {
     aut: Arc<Vec<Permutation>>,
     inner: Mutex<DedupInner>,
@@ -242,7 +244,7 @@ impl DedupSink {
 
     /// Distinct classes collected, plus the sorted embeddings when
     /// tracked. Consumes the collected state.
-    pub(crate) fn take(&self) -> (u64, Option<Vec<Vec<u32>>>) {
+    pub(crate) fn take(&self) -> DeltaSide {
         let mut g = self
             .inner
             .lock()

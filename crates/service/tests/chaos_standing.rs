@@ -1,14 +1,14 @@
 //! Batch-dynamic chaos tests (requires `--features chaos`): a crash at
 //! the `graph.apply.midbatch` point must leave nothing observable (the
-//! apply is all-or-nothing), dropped notifications at
-//! `service.notify.drop` must be retried to exactly-once delivery, and
-//! a kill/stall storm over the maintenance path must still produce
-//! exact match deltas — the headline acceptance test for the standing
-//! subsystem.
+//! apply is all-or-nothing), a panicking subscriber must be unregistered
+//! while every other subscriber still gets its delta, and a kill/stall
+//! storm over the maintenance path must still produce exact match
+//! deltas — the headline acceptance test for the standing subsystem.
 //!
 //! Every test holds a `ChaosGuard`: the fault-point registry is
 //! process-global, so chaos tests serialize within one binary.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -20,9 +20,10 @@ use tdfs_query::plan::QueryPlan;
 use tdfs_query::Pattern;
 use tdfs_service::{DurableConfig, MatchDelta, Service, ServiceConfig, StandingRequest};
 use tdfs_testkit::fault::{self, Action, ChaosScript, Trigger};
+use tdfs_testkit::TempDir;
 
-fn dynamic_service() -> Service {
-    Service::new(ServiceConfig {
+fn dynamic_config() -> ServiceConfig {
+    ServiceConfig {
         workers: 2,
         queue_capacity: 16,
         plan_cache_capacity: 16,
@@ -33,7 +34,11 @@ fn dynamic_service() -> Service {
             ..DurableConfig::default()
         },
         ..ServiceConfig::default()
-    })
+    }
+}
+
+fn dynamic_service() -> Service {
+    Service::new(dynamic_config())
 }
 
 fn watch(svc: &Service, pattern: &Pattern) -> Arc<Mutex<Vec<MatchDelta>>> {
@@ -114,43 +119,71 @@ fn midbatch_crash_is_invisible_and_the_retry_lands_exactly() {
     svc.shutdown();
 }
 
-/// Dropped notifications are retried until delivered — exactly once:
-/// the callback sees each version a single time even though the first
-/// send attempts fail.
+/// A subscriber whose callback panics is unregistered, and nothing else
+/// notices: the apply commits and returns `Ok` naming the removed
+/// subscription, the other subscriber gets every version's exact delta
+/// (this one's included), and the persistent graph's sidecar is still
+/// written, so a reopen finds the last committed version.
 #[test]
-fn dropped_notifications_are_retried_to_exactly_once_delivery() {
-    let _chaos = ChaosScript::new()
-        .on("service.notify.drop", Trigger::FirstN(2), Action::Inject)
-        .install();
-    let svc = dynamic_service();
-    svc.register_graph("g", Arc::new(barabasi_albert(80, 3, 22)));
+fn a_panicking_callback_is_unregistered_and_the_others_still_get_their_delta() {
+    // No faults scripted; the guard only keeps the other tests' scripts
+    // out of this one.
+    let _chaos = ChaosScript::new().install();
+    let dir = TempDir::new("tdfs-standing-panic").unwrap();
     let pattern = Pattern::clique(3);
-    let seen = watch(&svc, &pattern);
+    let plan = QueryPlan::build_with(&pattern, Default::default());
+    {
+        let svc = Service::open(dir.path(), dynamic_config()).unwrap().service;
+        svc.register_graph_persistent("g", Arc::new(barabasi_albert(80, 3, 22)))
+            .unwrap();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let panicker = {
+            let calls = calls.clone();
+            svc.register_standing(StandingRequest::new("g", pattern.clone()), move |_| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                panic!("injected subscriber panic");
+            })
+            .unwrap()
+        };
+        let seen = watch(&svc, &pattern);
+        let mut running = reference_count(&*svc.catalog().get("g").unwrap(), &plan) as i64;
 
-    svc.apply("g", &EdgeBatch::new().insert(0, 40).insert(1, 41))
-        .unwrap();
-    svc.apply("g", &EdgeBatch::new().delete(0, 40)).unwrap();
+        let first = svc
+            .apply(
+                "g",
+                &EdgeBatch::new().insert(0, 40).insert(1, 41).delete(0, 1),
+            )
+            .unwrap();
+        assert_eq!(first.version, 1);
+        assert_eq!(first.removed_standing, vec![panicker]);
+        assert_eq!(first.notifications, 1);
+        let second = svc.apply("g", &EdgeBatch::new().delete(0, 40)).unwrap();
+        assert!(second.removed_standing.is_empty());
+        assert_eq!(second.notifications, 1);
 
-    assert!(fault::injections("service.notify.drop") >= 2);
-    let deltas = seen.lock().unwrap();
-    let versions: Vec<u64> = deltas.iter().map(|d| d.version).collect();
-    assert_eq!(versions, vec![1, 2], "one delivery per version, in order");
-    let m = svc.metrics();
-    assert!(
-        m.notify_retries >= 2,
-        "drops were retried: {}",
-        m.notify_retries
-    );
-    assert_eq!(m.standing_notifications, 2);
-    svc.shutdown();
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "called once, then removed");
+        assert!(!svc.unregister_standing(panicker), "already unregistered");
+        let deltas = seen.lock().unwrap();
+        let versions: Vec<u64> = deltas.iter().map(|d| d.version).collect();
+        assert_eq!(versions, vec![1, 2], "one delivery per version, no gap");
+        for d in deltas.iter() {
+            running += d.added as i64 - d.removed as i64;
+        }
+        let post = svc.catalog().get("g").unwrap();
+        assert_eq!(running, reference_count(&*post, &plan) as i64);
+        assert_eq!(svc.metrics().standing_notifications, 2);
+    }
+    let reopened = Service::open(dir.path(), dynamic_config()).unwrap().service;
+    let view = reopened.catalog().get("g").unwrap();
+    assert_eq!(view.version(), 2, "the sidecar holds the last commit");
 }
 
-/// The storm: maintenance jobs ride the durable queue while shards are
-/// being killed and acks stalled at random, and midbatch crashes abort
-/// some applies outright. Through all of it, the surviving applies'
-/// deltas must telescope exactly onto full rescans of the committed
-/// views — killed maintenance work resumes (lease reclaim or inline
-/// fallback) to the same answer.
+/// The storm: maintenance passes run the durable shard loop while
+/// shards are being killed and acks stalled at random, and midbatch
+/// crashes abort some applies outright. Through all of it, the
+/// surviving applies' deltas must telescope exactly onto full rescans
+/// of the committed views — killed maintenance work resumes through
+/// lease reclaim to the same answer.
 #[test]
 fn kill_stall_storm_over_maintenance_still_yields_exact_deltas() {
     let pattern = Pattern::clique(3);
@@ -171,11 +204,6 @@ fn kill_stall_storm_over_maintenance_still_yields_exact_deltas() {
                 "graph.apply.midbatch",
                 Trigger::Probability(0.2),
                 Action::Panic("storm midbatch crash"),
-            )
-            .on(
-                "service.notify.drop",
-                Trigger::Probability(0.3),
-                Action::Inject,
             )
             .seed(seed)
             .install();

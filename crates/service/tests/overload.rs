@@ -57,8 +57,20 @@ fn wait_flag(pair: &(Mutex<bool>, Condvar)) {
 
 fn raise_flag(pair: &(Mutex<bool>, Condvar)) {
     let (m, c) = pair;
-    *m.lock().unwrap() = true;
+    *m.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
     c.notify_all();
+}
+
+/// Raises a pinned worker's release flag when dropped, so a test that
+/// panics while the worker is pinned fails instead of hanging in
+/// `Service`'s drop, which joins the worker. Declare it after the
+/// service: locals drop in reverse order.
+struct ReleaseOnDrop(Arc<(Mutex<bool>, Condvar)>);
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        raise_flag(&self.0);
+    }
 }
 
 fn k5() -> Arc<tdfs_graph::CsrGraph> {
@@ -297,12 +309,12 @@ fn deadline_expired_in_queue_never_builds_a_plan() {
     });
     svc.register_graph("k5", k5());
     let entered = Arc::new((Mutex::new(false), Condvar::new()));
-    let release = Arc::new((Mutex::new(false), Condvar::new()));
+    let release = ReleaseOnDrop(Arc::new((Mutex::new(false), Condvar::new())));
     let blocker = svc
         .submit(
             QueryRequest::new("k5", Pattern::clique(3)).with_sink(Arc::new(BlockingSink {
                 entered: entered.clone(),
-                release: release.clone(),
+                release: release.0.clone(),
             })),
         )
         .unwrap();
@@ -312,7 +324,7 @@ fn deadline_expired_in_queue_never_builds_a_plan() {
     let doomed = svc
         .submit(QueryRequest::new("k5", Pattern::clique(4)).with_deadline(Duration::ZERO))
         .unwrap();
-    raise_flag(&release);
+    drop(release);
     assert!(blocker.wait().result.is_ok());
     assert!(matches!(doomed.wait().result, Err(EngineError::TimeLimit)));
     let m = svc.metrics();
@@ -378,12 +390,12 @@ fn sojourn_shedding_drops_newest_low_priority_work() {
     });
     svc.register_graph("k5", k5());
     let entered = Arc::new((Mutex::new(false), Condvar::new()));
-    let release = Arc::new((Mutex::new(false), Condvar::new()));
+    let release = ReleaseOnDrop(Arc::new((Mutex::new(false), Condvar::new())));
     let blocker = svc
         .submit(
             QueryRequest::new("k5", Pattern::clique(3)).with_sink(Arc::new(BlockingSink {
                 entered: entered.clone(),
-                release: release.clone(),
+                release: release.0.clone(),
             })),
         )
         .unwrap();
@@ -407,7 +419,7 @@ fn sojourn_shedding_drops_newest_low_priority_work() {
     };
     assert!(matches!(shed_out.result, Err(EngineError::Shed)));
     assert!(shed_out.partial.is_none(), "never started: no partial");
-    raise_flag(&release);
+    drop(release);
     assert!(blocker.wait().result.is_ok());
     assert_eq!(
         normal.wait().result.unwrap().matches,

@@ -7,7 +7,10 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use tdfs_core::{find_matches, reference_count, MatchSink, MatcherConfig};
+use tdfs_core::{
+    find_matches, reference_count, ArrayCapacity, EngineError, MatchSink, MatcherConfig,
+    OverflowPolicy, StackConfig,
+};
 use tdfs_graph::generators::barabasi_albert;
 use tdfs_graph::rng::Rng;
 use tdfs_graph::{DeltaCsr, EdgeBatch, GraphView};
@@ -15,7 +18,8 @@ use tdfs_query::automorphism::automorphisms;
 use tdfs_query::plan::QueryPlan;
 use tdfs_query::{Pattern, PatternId};
 use tdfs_service::{
-    MatchDelta, QueryRequest, Rejected, ResumeError, Service, ServiceConfig, StandingRequest,
+    ApplyError, MatchDelta, QueryRequest, Rejected, ResumeError, Service, ServiceConfig,
+    StandingRequest,
 };
 
 fn engines() -> Vec<(&'static str, MatcherConfig)> {
@@ -324,15 +328,27 @@ fn wait_flag((m, c): &(Mutex<bool>, Condvar)) {
 }
 
 fn raise_flag((m, c): &(Mutex<bool>, Condvar)) {
-    *m.lock().unwrap() = true;
+    *m.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
     c.notify_all();
 }
 
-/// Maintenance runs as Low-priority durable work but the delta stays
-/// exact even when the service is too busy to take it — the dispatch
-/// falls back inline after bounded retries.
+/// Raises a pinned worker's release flag when dropped, so a test that
+/// panics while the worker is pinned fails instead of hanging in
+/// `Service`'s drop, which joins the worker. Declare it after the
+/// service: locals drop in reverse order.
+struct ReleaseOnDrop(Arc<(Mutex<bool>, Condvar)>);
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        raise_flag(&self.0);
+    }
+}
+
+/// Maintenance runs on the applying thread, not through the admission
+/// queue: with the only worker pinned and the queue full, `apply` still
+/// returns with an exact delta while the pinned query is unfinished.
 #[test]
-fn maintenance_falls_back_inline_when_the_queue_is_saturated() {
+fn maintenance_runs_while_the_only_worker_is_pinned() {
     let svc = Service::new(ServiceConfig {
         workers: 1,
         queue_capacity: 1,
@@ -351,13 +367,12 @@ fn maintenance_falls_back_inline_when_the_queue_is_saturated() {
     .unwrap();
 
     // Saturate: a query pinned inside its sink occupies the single worker
-    // while a second fills the one queue slot, so maintenance dispatch
-    // gets QueueFull for as long as the pin holds.
+    // while a second fills the one queue slot.
     let entered = Arc::new((Mutex::new(false), Condvar::new()));
-    let release = Arc::new((Mutex::new(false), Condvar::new()));
+    let release = ReleaseOnDrop(Arc::new((Mutex::new(false), Condvar::new())));
     let blocker = Arc::new(BlockingSink {
         entered: entered.clone(),
-        release: release.clone(),
+        release: release.0.clone(),
     });
     let q1 = svc
         .submit(QueryRequest::new("g", pattern.clone()).with_sink(blocker))
@@ -372,16 +387,72 @@ fn maintenance_falls_back_inline_when_the_queue_is_saturated() {
         &EdgeBatch::new().insert(0, 50).insert(1, 51).delete(0, 1),
     )
     .unwrap();
+    assert!(
+        q1.wait_timeout(Duration::ZERO).is_none(),
+        "apply returned while the worker was still pinned"
+    );
     let post_count = reference_count(&*svc.catalog().get("g").unwrap(), &plan) as i64;
 
     let deltas = seen.lock().unwrap();
     let d = deltas.last().expect("delta delivered despite saturation");
     assert_eq!(post_count - pre_count, d.added as i64 - d.removed as i64);
     drop(deltas);
-    assert!(svc.metrics().maintenance_inline_fallbacks >= 1);
 
-    raise_flag(&release);
+    drop(release);
     assert!(q1.wait().result.is_ok());
     assert!(q2.wait().result.is_ok());
     svc.shutdown();
+}
+
+/// A maintenance pass that fails fails the apply before anything
+/// commits: a K4 standing query whose array stacks overflow on this
+/// batch gets no delta, and the graph stays at its version, instead of
+/// a silently wrong `+0 −0` for a batch that removes K4s.
+#[test]
+fn a_failed_maintenance_pass_fails_the_apply_before_commit() {
+    let svc = small_service();
+    svc.register_graph("g", Arc::new(barabasi_albert(400, 6, 7)));
+    let pattern = Pattern::clique(4);
+    let config = MatcherConfig {
+        stack: StackConfig::Array {
+            capacity: ArrayCapacity::Fixed(4),
+            policy: OverflowPolicy::Error,
+        },
+        ..MatcherConfig::tdfs().with_warps(1)
+    };
+    let seen: Arc<Mutex<Vec<MatchDelta>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = seen.clone();
+    svc.register_standing(
+        StandingRequest::new("g", pattern).with_config(config),
+        move |d| sink.lock().unwrap().push(d.clone()),
+    )
+    .unwrap();
+
+    let mut batch = EdgeBatch::new();
+    for (u, v) in [
+        (0, 1),
+        (0, 2),
+        (1, 2),
+        (0, 3),
+        (1, 3),
+        (2, 3),
+        (0, 4),
+        (1, 4),
+    ] {
+        batch = batch.delete(u, v);
+    }
+    for (u, v) in [(10, 11), (10, 12), (11, 12)] {
+        batch = batch.insert(u, v);
+    }
+    let pre = svc.catalog().get("g").unwrap().version();
+    match svc.apply("g", &batch) {
+        Err(ApplyError::Maintenance(EngineError::Stack(_))) => {}
+        other => panic!("expected a stack overflow in maintenance, got {other:?}"),
+    }
+    assert_eq!(svc.catalog().get("g").unwrap().version(), pre);
+    assert!(
+        seen.lock().unwrap().is_empty(),
+        "no delta for a failed apply"
+    );
+    assert_eq!(svc.metrics().batches_applied, 0);
 }

@@ -125,9 +125,8 @@ fn main() {
     let m = svc.metrics();
     println!("\n-- service metrics --\n{}", m.summary());
     // The traffic/dispatch axes explicitly: modeled bytes the lane
-    // kernels touched, how often the AVX2 path was taken (zero on
-    // non-AVX2 hosts or under `TDFS_NO_SIMD`), and how many shard
-    // leases landed on a worker already holding the shard's page.
+    // kernels touched, and how often the AVX2 path was taken (zero on
+    // non-AVX2 hosts or under `TDFS_NO_SIMD`).
     println!(
         "warp bytes touched: {} ({:.3} MB)",
         m.engine.warp.bytes_touched,
@@ -137,6 +136,5 @@ fn main() {
         "intersect dispatch: {} simd / {} scalar",
         m.simd_intersections, m.scalar_intersections
     );
-    println!("lease affinity hits: {}", m.lease_affinity_hits);
     svc.shutdown();
 }
