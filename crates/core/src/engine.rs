@@ -605,6 +605,65 @@ pub fn run_on_device<V: GraphView>(
     run.finish(&warps, stats)
 }
 
+/// Lane probes (`WarpStats::elements_probed`) a warp runs between two
+/// clock reads of its τ test.
+///
+/// The paper's warp reads `clock64`, a register. A host clock read costs
+/// about 51 ns on a 2-core x86-64 KVM host, and reading it before every
+/// initial edge and every shallow descent took 17–27 % of one warp's
+/// engine time at τ = 10 ms. 1,024 probes are 12–20 µs of work there.
+pub const TAU_WINDOW: u64 = 1024;
+
+/// One warp's τ test (Alg. 4: decompose once `clock() − t0 > τ`), gated
+/// on warp work: the clock is read only once the warp has probed
+/// [`TAU_WINDOW`] lanes since the gate's last read. `t0` is the task's
+/// first such read, at most one window after the task starts, and the
+/// test fires at the first read past `t0 + τ`: a straggler is decomposed
+/// at most two windows after τ, far below the smallest τ any bench uses
+/// (1 ms). The probe count is deterministic, and the gate lives per warp
+/// and per run, so a run on a resident device reads the clock where a
+/// fresh device's run does.
+struct TauTimer<'a> {
+    clock: &'a Clock,
+    tau_ns: Option<u64>,
+    /// The current task's first clock read, if it has had one.
+    t0: Option<u64>,
+    /// The probe count from which the next test reads the clock.
+    due: u64,
+}
+
+impl<'a> TauTimer<'a> {
+    fn new(clock: &'a Clock, tau_ns: Option<u64>) -> Self {
+        Self {
+            clock,
+            tau_ns,
+            t0: None,
+            due: 0,
+        }
+    }
+
+    /// Alg. 4's `t0 ← clock()`, at every task start and after a
+    /// queue-full event (lines 18–20). The read itself waits for the
+    /// task's first gated test.
+    fn restart(&mut self) {
+        self.t0 = None;
+    }
+
+    /// Whether the current task has run longer than τ, for a warp that
+    /// has probed `probed` lanes in this run. `false`, without a clock
+    /// read, until the window since the last read is full.
+    fn expired(&mut self, probed: u64) -> bool {
+        match self.tau_ns {
+            Some(tau) if probed >= self.due => {
+                self.due = probed + TAU_WINDOW;
+                let now = self.clock.now_ns();
+                now - *self.t0.get_or_insert(now) > tau
+            }
+            _ => false,
+        }
+    }
+}
+
 /// One unit of acquired work.
 enum Work {
     FromQueue(Task),
@@ -624,6 +683,7 @@ fn warp_main<'scope, 'env, V: GraphView, L: FactoryLevel>(
     let num_warps = run.cfg.num_warps;
     let total = run.source.len(run.g);
     let mut registered_idle = false;
+    let mut timer = TauTimer::new(&shared.clock, shared.tau_ns);
 
     'outer: loop {
         if run.failed() || run.over_deadline() || run.cancelled() {
@@ -658,7 +718,7 @@ fn warp_main<'scope, 'env, V: GraphView, L: FactoryLevel>(
         };
 
         // ---- Process the acquired work (Alg. 4 lines 1–6). ----
-        let mut t0 = shared.clock.now_ns();
+        timer.restart();
         match work {
             Work::FromQueue(task) => {
                 m[0] = task.v1 as u32;
@@ -679,7 +739,7 @@ fn warp_main<'scope, 'env, V: GraphView, L: FactoryLevel>(
                     &mut ws,
                     &mut m,
                     start_level,
-                    &mut t0,
+                    &mut timer,
                     &mut local_matches,
                     scope,
                 ) {
@@ -704,10 +764,7 @@ fn warp_main<'scope, 'env, V: GraphView, L: FactoryLevel>(
                     // backtrack-to-root decomposition). Only 2-prefix
                     // tasks are queue-encodable.
                     if start_level == 2
-                        && (decomposing
-                            || shared
-                                .tau_ns
-                                .is_some_and(|tau| shared.clock.now_ns() - t0 > tau))
+                        && (decomposing || timer.expired(ws.warp.stats.elements_probed))
                     {
                         if !decomposing {
                             shared.timeouts.fetch_add(1, Ordering::Relaxed);
@@ -718,7 +775,7 @@ fn warp_main<'scope, 'env, V: GraphView, L: FactoryLevel>(
                         }
                         // Queue full: reset t0, resume in place.
                         decomposing = false;
-                        t0 = shared.clock.now_ns();
+                        timer.restart();
                     }
                     if let Err(e) = dfs(
                         shared,
@@ -726,7 +783,7 @@ fn warp_main<'scope, 'env, V: GraphView, L: FactoryLevel>(
                         &mut ws,
                         &mut m,
                         start_level,
-                        &mut t0,
+                        &mut timer,
                         &mut local_matches,
                         scope,
                     ) {
@@ -751,7 +808,7 @@ fn dfs<'scope, 'env, V: GraphView, L: FactoryLevel>(
     ws: &mut Workspace,
     m: &mut [u32],
     start_level: usize,
-    t0: &mut u64,
+    timer: &mut TauTimer<'_>,
     local_matches: &mut u64,
     scope: &'scope Scope<'scope, 'env>,
 ) -> Result<(), StackError> {
@@ -832,26 +889,23 @@ fn dfs<'scope, 'env, V: GraphView, L: FactoryLevel>(
             }
             // ---- Timeout hook (Alg. 4 lines 12–21): decompose instead
             // of descending while ≤ 3 vertices are matched. ----
-            if level <= 2 {
-                if let Some(tau) = shared.tau_ns {
-                    // Fault point: force this warp to look like a
-                    // straggler, triggering decomposition regardless of
-                    // the clock.
-                    let forced_straggle = crate::chaos_inject!("core.dfs.straggler");
-                    if grace {
-                        grace = false;
-                    } else if forced_straggle || shared.clock.now_ns() - *t0 > tau {
-                        shared.timeouts.fetch_add(1, Ordering::Relaxed);
-                        // Put the current candidate back and enqueue the
-                        // remainder of this level. If `Q_task` fills up,
-                        // `t0` is reset inside, a grace descent is
-                        // granted, and the loop resumes in-place
-                        // processing; otherwise the level is drained and
-                        // the exhausted branch backtracks.
-                        stack.iters[level] -= 1;
-                        grace = !decompose_level(shared, stack, m, level, t0);
-                        continue;
-                    }
+            if level <= 2 && shared.tau_ns.is_some() {
+                // Fault point: force this warp to look like a straggler,
+                // triggering decomposition regardless of the clock.
+                let forced_straggle = crate::chaos_inject!("core.dfs.straggler");
+                if grace {
+                    grace = false;
+                } else if forced_straggle || timer.expired(ws.warp.stats.elements_probed) {
+                    shared.timeouts.fetch_add(1, Ordering::Relaxed);
+                    // Put the current candidate back and enqueue the
+                    // remainder of this level. If `Q_task` fills up, `t0`
+                    // is reset inside, a grace descent is granted, and
+                    // the loop resumes in-place processing; otherwise the
+                    // level is drained and the exhausted branch
+                    // backtracks.
+                    stack.iters[level] -= 1;
+                    grace = !decompose_level(shared, stack, m, level, timer);
+                    continue;
                 }
             }
             // ---- Fused leaf (after the timeout hook so decomposition
@@ -903,7 +957,7 @@ fn decompose_level<V: GraphView, L: LevelStore>(
     stack: &mut WarpStack<L>,
     m: &[u32],
     level: usize,
-    t0: &mut u64,
+    timer: &mut TauTimer<'_>,
 ) -> bool {
     debug_assert!(level == 2, "decomposition happens at matched depth 3");
     let run = &shared.run;
@@ -916,7 +970,7 @@ fn decompose_level<V: GraphView, L: LevelStore>(
         if !run.device.queue.enqueue(Task::triple(m[0], m[1], w)) {
             // Queue full: put w back, reset t0, resume in place.
             stack.iters[level] -= 1;
-            *t0 = shared.clock.now_ns();
+            timer.restart();
             return false;
         }
     }
@@ -972,7 +1026,7 @@ fn launch_child_kernel<'scope, 'env, V: GraphView, L: FactoryLevel>(
             let mut m = vec![0u32; k];
             m[..prefix.len()].copy_from_slice(&prefix);
             let mut local = 0u64;
-            let mut t0 = shared.clock.now_ns();
+            let mut timer = TauTimer::new(&shared.clock, shared.tau_ns);
             for v in chunk {
                 if run.cancelled() {
                     break;
@@ -992,7 +1046,7 @@ fn launch_child_kernel<'scope, 'env, V: GraphView, L: FactoryLevel>(
                     &mut ws,
                     &mut m,
                     level + 1,
-                    &mut t0,
+                    &mut timer,
                     &mut local,
                     scope,
                 ) {

@@ -10,11 +10,15 @@
 use std::time::{Duration, Instant};
 
 use tdfs_core::config::StackConfig;
-use tdfs_core::{find_matches, match_pattern, reference_count, EngineError, MatcherConfig};
+use tdfs_core::engine::TAU_WINDOW;
+use tdfs_core::{
+    find_matches, host_filter_edges, match_pattern, match_plan_on_edges, reference_count,
+    EngineError, MatcherConfig,
+};
 use tdfs_graph::generators::barabasi_albert;
 use tdfs_mem::StackError;
 use tdfs_query::plan::QueryPlan;
-use tdfs_query::PatternId;
+use tdfs_query::{Pattern, PatternId};
 
 fn expected(g: &tdfs_graph::CsrGraph, id: PatternId, cfg: &MatcherConfig) -> u64 {
     reference_count(g, &QueryPlan::build_with(&id.pattern(), cfg.plan))
@@ -70,6 +74,34 @@ fn clock_skew_storm_trips_timeouts_and_stays_correct() {
     );
     assert!(fault::injections("gpu.clock.storm") > 0);
     assert_eq!(r.stats.pages_leaked, 0);
+}
+
+/// The τ test's clock budget. `gpu.clock.storm` counts every clock
+/// read, scripted or not. A one-warp run may read the clock once per
+/// task (a chunk of `chunk_size` edges) and once per [`TAU_WINDOW`] lane
+/// probes, not before every initial edge and every shallow descent: on
+/// this graph, reading at every check costs about 20,000 reads, and the
+/// budget is about 2,450.
+#[test]
+fn tau_test_reads_the_clock_once_per_window_of_warp_work() {
+    use tdfs_testkit::fault::{self, ChaosScript};
+    let _chaos = ChaosScript::new().install();
+    let g = barabasi_albert(3000, 6, 13);
+    let cfg = MatcherConfig::tdfs()
+        .with_warps(1)
+        .with_tau(Some(Duration::from_millis(10)));
+    let plan = QueryPlan::build_with(&Pattern::clique(3), cfg.plan);
+    let edges = host_filter_edges(&g, &plan);
+    let tasks = (edges.len() as u64).div_ceil(cfg.chunk_size as u64);
+    let r = match_plan_on_edges(&g, &plan, &cfg, edges, None).unwrap();
+    assert_eq!(r.matches, reference_count(&g, &plan));
+    let probes = r.stats.warp.elements_probed;
+    let budget = tasks + probes.div_ceil(TAU_WINDOW) + 1;
+    let reads = fault::hits("gpu.clock.storm");
+    assert!(
+        reads <= budget,
+        "{reads} clock reads for {tasks} chunks and {probes} probes (budget {budget})"
+    );
 }
 
 /// `mem.arena.oom` on every allocation: the whole run executes on heap

@@ -31,6 +31,11 @@ impl Clock {
 
     /// Current time in nanoseconds since the clock epoch.
     ///
+    /// A real clock's read is `Instant::elapsed`, about 51 ns on a 2-core
+    /// x86-64 KVM host, where the paper's `clock64` is a register read. A
+    /// hot loop must gate it on work done instead of reading it per
+    /// step, as the engine's τ test does (`tdfs_core::engine::TAU_WINDOW`).
+    ///
     /// Under the `chaos` feature the `gpu.clock.storm` fault point skews
     /// the reading forward by a fixed amount per injection — a "straggler
     /// storm" that makes in-flight DFS walks look slow enough to trip the

@@ -293,7 +293,20 @@ fn reopened_service_resumes_a_governor_suspended_query_exactly() {
         svc.unsuspend(id),
         "the resumed query must still be suspended"
     );
-    let out = h.wait();
+    // A governor tick that read the phantom pressure before the script
+    // was dropped may still pick the query and suspend it again, and
+    // nothing resumes it on its own: unsuspend it until it finishes.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let out = loop {
+        if let Some(out) = h.wait_timeout(Duration::from_millis(10)) {
+            break out;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the unsuspended query did not finish within 20 s"
+        );
+        svc.unsuspend(id);
+    };
     assert_eq!(
         out.result.unwrap().matches,
         want,

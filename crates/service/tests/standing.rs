@@ -131,7 +131,7 @@ fn incremental_deltas_equal_full_rescan_for_every_engine() {
             let m = svc.metrics();
             assert_eq!(m.batches_applied, 5);
             assert_eq!(m.standing_notifications, 5, "exactly one delta per batch");
-            assert!(m.maintenance_jobs > 0, "maintenance rode the queue");
+            assert!(m.maintenance_jobs > 0, "every batch ran a maintenance pass");
         }
     }
 }
