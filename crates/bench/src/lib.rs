@@ -4,14 +4,17 @@
 //! paper's evaluation (§IV). Each bench target (`cargo bench -p
 //! tdfs-bench --bench <name>`) regenerates one table/figure, printing
 //! the same rows/series the paper reports plus a machine-readable CSV
-//! block. Micro-benchmarks for the substrates live in `benches/micro.rs`
-//! and use the internal [`harness`] (the workspace carries no external
-//! crates).
+//! block. The layers the paper does not measure (lane kernels, fused
+//! leaf, batch-dynamic maintenance, mmap tier, governor, cluster) are
+//! measured by one target, `cargo bench -p tdfs-bench --bench ledger`,
+//! which records every figure in one `BENCH.json` through the
+//! [`harness::Ledger`] (the workspace carries no external crates).
 //!
 //! Environment knobs:
 //! - `TDFS_SCALE` — dataset scale factor (see `tdfs_graph::datasets`);
 //! - `TDFS_BENCH_WARPS` — warps per device (default: available cores);
-//! - `TDFS_BENCH_SMOKE` — set to run a reduced pattern/dataset subset.
+//! - `TDFS_BENCH_SMOKE` — set to run a reduced pattern/dataset subset,
+//!   and the ledger's smoke tier ([`harness::Ledger::new`]).
 
 pub mod harness;
 

@@ -85,7 +85,7 @@ pub use reference::{reference_count, reference_count_pattern};
 pub use retry::{retry, Backoff, BackoffPolicy, Retry};
 pub use sink::{CollectSink, FnSink, MatchSink};
 pub use stats::{RunResult, RunStats};
-pub use storage::{budgeted_map_options, open_budgeted, BudgetCharge};
+pub use storage::{budgeted_map_options, BudgetCharge};
 // Re-exported so downstream crates (e.g. the service's snapshot codec)
 // can name every part of a `MatcherConfig` without depending on
 // `tdfs-mem` directly.

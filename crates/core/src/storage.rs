@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use tdfs_graph::{CacheCharge, MapOptions, MmapGraph};
+use tdfs_graph::{CacheCharge, MapOptions};
 use tdfs_mem::MemoryBudget;
 
 /// [`CacheCharge`] adapter over a [`MemoryBudget`] (see module docs).
@@ -28,11 +28,6 @@ impl BudgetCharge {
     /// Adapts `budget`; clones share the same accounting.
     pub fn new(budget: MemoryBudget) -> Self {
         BudgetCharge(budget)
-    }
-
-    /// The adapted budget.
-    pub fn budget(&self) -> &MemoryBudget {
-        &self.0
     }
 }
 
@@ -56,19 +51,10 @@ pub fn budgeted_map_options(budget: &MemoryBudget, cache_bytes: usize) -> MapOpt
     }
 }
 
-/// Convenience open: maps `path` with [`budgeted_map_options`].
-pub fn open_budgeted(
-    path: impl AsRef<std::path::Path>,
-    budget: &MemoryBudget,
-    cache_bytes: usize,
-) -> Result<MmapGraph, tdfs_graph::ContainerError> {
-    MmapGraph::open_with(path, &budgeted_map_options(budget, cache_bytes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdfs_graph::{write_container_file, GraphBuilder, GraphView};
+    use tdfs_graph::{write_container_file, GraphBuilder, GraphView, MmapGraph};
     use tdfs_mem::PAGE_BYTES;
 
     #[test]
@@ -84,7 +70,8 @@ mod tests {
 
         let budget = MemoryBudget::new(1024);
         {
-            let m = open_budgeted(&path, &budget, PAGE_BYTES).unwrap();
+            let m =
+                MmapGraph::open_with(&path, &budgeted_map_options(&budget, PAGE_BYTES)).unwrap();
             for v in 0..64u32 {
                 assert_eq!(m.neighbors(v), g.neighbors(v));
             }

@@ -45,10 +45,11 @@ pub const WARP_SIZE: usize = 32;
 /// binary search per lane: each lane's search costs ~log2|B| random
 /// probes of `B`, while the shared merge cursor advances |B|/|A|
 /// *sequential* slots per lane on average — and sequential slots are far
-/// cheaper than random probes (prefetched, branch-predictable). Measured
-/// on the micro benches (`BENCH_intersect.json`) the crossover sits
-/// between ratio 32 and 128 across operand sizes from 64 to 2048, so 64
-/// is the cut.
+/// cheaper than random probes (prefetched, branch-predictable). The
+/// crossover sits between ratio 32 and 128 across operand sizes from 64
+/// to 2048, so 64 is the cut. The bench ledger's kernel rows
+/// (`BENCH.json`, cells `intersect/1:1/*`, `intersect/1:32/*` and
+/// `intersect/1:1024/*`) time every kernel on either side of it.
 pub const MERGE_MAX_RATIO: usize = 64;
 
 /// At and above this `|B| / |A|` ratio the galloping kernel replaces
@@ -403,7 +404,7 @@ impl WarpOps {
         // Fault point on every intersection launch: a scripted stall here
         // models one warp's kernels running slow (a straggler) without
         // touching the clock. Compiles away without the `chaos` feature,
-        // keeping the micro benches at their published numbers.
+        // keeping the ledger's kernel rows at their published numbers.
         crate::chaos_point!("gpu.warp.intersect");
         self.stats.intersections += 1;
         match kind {

@@ -146,17 +146,11 @@ impl MemoryBudget {
         debug_assert!(prev >= pages, "budget release underflow");
     }
 
-    /// [`try_charge`](Self::try_charge) for a byte-sized resident
-    /// structure: charges `bytes` rounded up to whole page-equivalents
-    /// ([`PAGE_BYTES`](crate::PAGE_BYTES)), so heap-resident overlays —
-    /// the delta-CSR rows of a mutable catalog graph — compete for the
-    /// same device allowance as arena pages.
-    pub fn try_charge_bytes(&self, bytes: usize) -> bool {
-        self.try_charge(Self::pages_for(bytes))
-    }
-
-    /// [`charge_unchecked`](Self::charge_unchecked) in page-equivalents
-    /// of `bytes` (overdraft allowed; see module docs).
+    /// [`charge_unchecked`](Self::charge_unchecked) for a byte-sized
+    /// resident structure: charges `bytes` rounded up to whole
+    /// page-equivalents ([`PAGE_BYTES`](crate::PAGE_BYTES)), so
+    /// heap-resident state competes for the same device allowance as
+    /// arena pages (overdraft allowed; see module docs).
     pub fn charge_bytes_unchecked(&self, bytes: usize) {
         self.charge_unchecked(Self::pages_for(bytes));
     }
@@ -200,39 +194,6 @@ impl MemoryBudget {
             return 0.0;
         }
         self.in_use_pages() as f64 / self.0.capacity as f64
-    }
-
-    /// Charges `bytes` unchecked (overdraft allowed) and returns an RAII
-    /// guard that releases the same byte figure on drop — the leak-proof
-    /// way to account a resident structure whose lifetime is a scope
-    /// (the storage tier's decoded-segment cache charges this way).
-    pub fn byte_guard(&self, bytes: usize) -> ByteCharge {
-        self.charge_bytes_unchecked(bytes);
-        ByteCharge {
-            budget: self.clone(),
-            bytes,
-        }
-    }
-}
-
-/// RAII byte charge against a [`MemoryBudget`]: releases on drop. See
-/// [`MemoryBudget::byte_guard`].
-#[derive(Debug)]
-pub struct ByteCharge {
-    budget: MemoryBudget,
-    bytes: usize,
-}
-
-impl ByteCharge {
-    /// The byte figure charged.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-impl Drop for ByteCharge {
-    fn drop(&mut self) {
-        self.budget.release_bytes(self.bytes);
     }
 }
 
@@ -319,29 +280,11 @@ mod tests {
         assert_eq!(MemoryBudget::pages_for(1), 1);
         assert_eq!(MemoryBudget::pages_for(PAGE_BYTES), 1);
         assert_eq!(MemoryBudget::pages_for(PAGE_BYTES + 1), 2);
-        assert!(b.try_charge_bytes(PAGE_BYTES + 1)); // 2 pages
-        assert!(!b.try_charge_bytes(2 * PAGE_BYTES), "2 + 2 > 3");
+        b.charge_bytes_unchecked(PAGE_BYTES + 1); // 2 pages
         b.charge_bytes_unchecked(2 * PAGE_BYTES); // overdraft to 4
         assert_eq!(b.in_use_pages(), 4);
         b.release_bytes(PAGE_BYTES + 1);
         b.release_bytes(2 * PAGE_BYTES);
-        assert_eq!(b.in_use_pages(), 0);
-    }
-
-    #[test]
-    fn byte_guard_releases_on_drop() {
-        use crate::arena::PAGE_BYTES;
-        let b = MemoryBudget::new(2);
-        {
-            let g = b.byte_guard(PAGE_BYTES + 1);
-            assert_eq!(g.bytes(), PAGE_BYTES + 1);
-            assert_eq!(b.in_use_pages(), 2);
-            // Overdraft: the guard charges unchecked past capacity.
-            let _g2 = b.byte_guard(3 * PAGE_BYTES);
-            assert_eq!(b.in_use_pages(), 5);
-            drop(g);
-            assert_eq!(b.in_use_pages(), 3);
-        }
         assert_eq!(b.in_use_pages(), 0);
     }
 

@@ -39,6 +39,6 @@ macro_rules! chaos_inject {
 pub(crate) use chaos_inject;
 
 pub use arena::{PageArena, PageId, PAGE_BYTES, PAGE_INTS};
-pub use budget::{ByteCharge, MemoryBudget};
+pub use budget::MemoryBudget;
 pub use level::{ArrayLevel, LevelStore, OverflowPolicy, StackError};
 pub use paged::{PagedLevel, DEFAULT_PAGE_TABLE_LEN};
