@@ -67,9 +67,9 @@ type Arm<'a> = (&'a str, &'a dyn Fn(&Pattern) -> u64);
 
 /// The overhead of the second arm over the first, one cell per workload:
 /// warms both arms (which ships whatever a first run ships) and pins
-/// exactness before timing anything, records both medians and their
-/// ratio, bounded by `per_workload`, then the ratios' geomean, bounded
-/// by `all`.
+/// exactness before timing anything, records both medians (their
+/// samples alternated) and their ratio, bounded by `per_workload`, then
+/// the ratios' geomean, bounded by `all`.
 fn ab_overhead(
     ledger: &mut Ledger,
     prefix: &str,
@@ -83,8 +83,9 @@ fn ab_overhead(
         let (a, b) = (run_base(pattern), run_arm(pattern));
         assert_eq!(a, b, "{cell}: {arm} and {base} counts must agree");
 
-        let base_ns = ledger.time(&cell, &format!("{base}_ns"), || run_base(pattern));
-        let arm_ns = ledger.time(&cell, &format!("{arm}_ns"), || run_arm(pattern));
+        let metrics = [&*format!("{base}_ns"), &*format!("{arm}_ns")];
+        let (base_ns, arm_ns) =
+            ledger.time_pair(&cell, metrics, || run_base(pattern), || run_arm(pattern));
         let ratio = arm_ns / base_ns;
         ledger
             .row(&cell, "overhead_ratio", "ratio", ratio)
@@ -345,10 +346,11 @@ fn sample_edges(view: &DeltaCsr, rng: &mut Rng, count: usize) -> Vec<(u32, u32)>
 }
 
 /// Dynamic layer: incremental standing-query deltas versus a full
-/// rescan of the mutated graph, across churn rates, plus raw `DeltaCsr`
-/// apply/compact throughput. The incremental path must win by >= 5x at
-/// 1% churn — the whole point of delta-anchored maintenance is that
-/// work scales with the batch, not the graph.
+/// rescan of the mutated graph, across churn rates, a 4-cycle
+/// subscriber's maintenance count-only against with embeddings, plus
+/// raw `DeltaCsr` apply/compact throughput. The incremental path must
+/// win by >= 5x at 1% churn — the whole point of delta-anchored
+/// maintenance is that work scales with the batch, not the graph.
 fn dynamic(ledger: &mut Ledger) {
     let base = Arc::new(barabasi_albert(3000, 6, 13));
     let undirected = base.num_arcs() / 2;
@@ -386,8 +388,8 @@ fn dynamic(ledger: &mut Ledger) {
 
         // Incremental arm: one forward + one backward apply restores the
         // logical graph, so the closure is repeatable; each apply runs
-        // the full standing-maintenance path (anchored enumeration,
-        // dedup, dispatch, notification). Report per-apply cost.
+        // the full standing-maintenance path (anchored, attributed
+        // enumeration and notification). Report per-apply cost.
         let inc_ns = ledger.measure(|| {
             svc.apply("ba", &fwd).unwrap();
             svc.apply("ba", &bwd).unwrap();
@@ -405,6 +407,59 @@ fn dynamic(ledger: &mut Ledger) {
             row.at_least(MIN_SPEEDUP_AT_1PCT);
         }
     }
+
+    // A 4-cycle subscriber, count-only on one service and with
+    // embeddings on another, timed sample by sample on the same 1% batch:
+    // a count-only pass is a plain engine count, and only embeddings pay
+    // for the canonicalizing dedup set.
+    let batch_edges = ((undirected as f64 * 0.01) as usize).max(1);
+    let toggled = sample_edges(&DeltaCsr::from_base(base.clone()), &mut rng, batch_edges);
+    let fwd = EdgeBatch::deleting(toggled.iter().copied());
+    let bwd = EdgeBatch::inserting(toggled.iter().copied());
+    let arms = [false, true].map(|embeddings| {
+        let svc = Service::new(ServiceConfig {
+            workers: 2,
+            queue_capacity: 32,
+            plan_cache_capacity: 16,
+            ..ServiceConfig::default()
+        });
+        svc.register_graph("ba", base.clone());
+        let mut request = StandingRequest::new("ba", Pattern::cycle(4))
+            .with_config(MatcherConfig::tdfs().with_warps(2));
+        if embeddings {
+            request = request.with_embeddings();
+        }
+        let last = Arc::new(std::sync::Mutex::new(None));
+        let seen = last.clone();
+        svc.register_standing(request, move |d| {
+            let listed = d.removed_embeddings.as_ref().map(Vec::len);
+            *seen.lock().unwrap() = Some((d.added, d.removed, listed));
+        })
+        .unwrap();
+        svc.apply("ba", &fwd).unwrap();
+        let delta = last.lock().unwrap().take().expect("one delta per apply");
+        svc.apply("ba", &bwd).unwrap();
+        (svc, delta)
+    });
+    let [(count_only, (added, removed, _)), (embedding, with)] = arms;
+    assert_eq!(
+        (added, removed, Some(removed as usize)),
+        with,
+        "the arms' deltas agree"
+    );
+    let round = |svc: &Service| {
+        svc.apply("ba", &fwd).unwrap();
+        svc.apply("ba", &bwd).unwrap();
+    };
+    let (count_ns, embed_ns) = ledger.measure_pair(|| round(&count_only), || round(&embedding));
+    let cell = "delta/c4_1pct";
+    ledger.row(cell, "batch_edges", "count", batch_edges as f64);
+    ledger.row(cell, "removed_per_batch", "count", removed as f64);
+    ledger.row(cell, "count_only_ns", "ns", count_ns / 2.0);
+    ledger.row(cell, "embeddings_ns", "ns", embed_ns / 2.0);
+    ledger.row(cell, "embeddings_over_count", "ratio", embed_ns / count_ns);
+    count_only.shutdown();
+    embedding.shutdown();
 
     // Raw structural throughput, no service in the loop: cost of the
     // copy-on-write apply itself, and of folding the overlay back into
@@ -468,20 +523,22 @@ fn storage(ledger: &mut Ledger) {
     // varint walk over every row) is recorded alongside for
     // transparency; it is O(arcs) by design and the service pays it once
     // per restart.
-    let parse_ns = ledger.time("storage/cold_load", "text_parse_ns", || {
-        read_edge_list_file(&txt).unwrap().num_arcs()
-    });
-    let checksums_ns = ledger.time("storage/cold_load", "mmap_open_ns", || {
-        MmapGraph::open_with(
-            &bin,
-            &MapOptions {
-                verify: Verify::Checksums,
-                ..MapOptions::default()
-            },
-        )
-        .unwrap()
-        .num_arcs()
-    });
+    let (parse_ns, checksums_ns) = ledger.time_pair(
+        "storage/cold_load",
+        ["text_parse_ns", "mmap_open_ns"],
+        || read_edge_list_file(&txt).unwrap().num_arcs(),
+        || {
+            MmapGraph::open_with(
+                &bin,
+                &MapOptions {
+                    verify: Verify::Checksums,
+                    ..MapOptions::default()
+                },
+            )
+            .unwrap()
+            .num_arcs()
+        },
+    );
     let full_ns = ledger.time("storage/cold_load", "mmap_open_full_verify_ns", || {
         MmapGraph::open(&bin).unwrap().num_arcs()
     });
@@ -510,11 +567,17 @@ fn storage(ledger: &mut Ledger) {
         let _scope = mapped.pin_scope();
         assert_eq!(reference_count(&mapped, &plan), heap_count);
     }
-    let heap_ns = ledger.time("storage/query", "heap_ns", || reference_count(&*g, &plan));
-    let mapped_ns = ledger.time("storage/query", "mapped_ns", || {
-        let _scope = mapped.pin_scope();
-        reference_count(&mapped, &plan)
-    });
+    // The arms' samples alternate, so a shift in host speed between them
+    // does not read as overhead.
+    let (heap_ns, mapped_ns) = ledger.time_pair(
+        "storage/query",
+        ["heap_ns", "mapped_ns"],
+        || reference_count(&*g, &plan),
+        || {
+            let _scope = mapped.pin_scope();
+            reference_count(&mapped, &plan)
+        },
+    );
     let overhead = mapped_ns / heap_ns - 1.0;
     ledger
         .row("storage/query", "overhead", "fraction", overhead)

@@ -92,15 +92,19 @@ impl Ledger {
         self.rows.last_mut().expect("just pushed")
     }
 
-    /// Median ns per call of `f`: a warm-up that calibrates the calls per
-    /// sample, then the timed samples. Records nothing.
-    pub fn measure<R>(&self, mut f: impl FnMut() -> R) -> f64 {
-        let (warm_up, budget, samples) = if self.smoke {
+    /// The warm-up, timing budget and sample count of this tier.
+    fn tier(&self) -> (Duration, Duration, usize) {
+        if self.smoke {
             (Duration::from_millis(10), Duration::from_millis(50), 5)
         } else {
             (Duration::from_millis(200), Duration::from_secs(1), 20)
-        };
-        // Warm-up and calibration: find the iteration count per sample.
+        }
+    }
+
+    /// Warms `f` up and returns how many calls one sample makes, so the
+    /// samples together fill the tier's budget.
+    fn calibrate<R>(&self, f: &mut impl FnMut() -> R) -> u64 {
+        let (warm_up, budget, samples) = self.tier();
         let warm_start = Instant::now();
         let mut iters_per_probe = 1u64;
         let mut probe_ns;
@@ -117,18 +121,49 @@ impl Ledger {
         }
         let ns_per_iter = (probe_ns / iters_per_probe).max(1);
         let budget_ns = (budget.as_nanos() as u64 / samples as u64).max(1);
-        let iters_per_sample = (budget_ns / ns_per_iter).clamp(1, 1 << 24);
+        (budget_ns / ns_per_iter).clamp(1, 1 << 24)
+    }
 
-        let mut times: Vec<f64> = Vec::with_capacity(samples);
-        for _ in 0..samples {
+    /// Median ns per call of `f`: a warm-up that calibrates the calls per
+    /// sample, then the timed samples. Records nothing.
+    pub fn measure<R>(&self, mut f: impl FnMut() -> R) -> f64 {
+        let iters = self.calibrate(&mut f);
+        let mut times = Vec::new();
+        for _ in 0..self.tier().2 {
             let t = Instant::now();
-            for _ in 0..iters_per_sample {
+            for _ in 0..iters {
                 black_box(f());
             }
-            times.push(t.elapsed().as_nanos() as f64 / iters_per_sample as f64);
+            times.push(t.elapsed().as_nanos() as f64 / iters as f64);
         }
-        times.sort_by(f64::total_cmp);
-        times[samples / 2]
+        median(times)
+    }
+
+    /// Median ns per call of each of two arms, measured as
+    /// [`measure`](Self::measure) does but with their samples alternated
+    /// (`a`, `b`, `a`, `b`, …): a shift in host speed then lands on both
+    /// arms instead of reading as a difference between them. Records
+    /// nothing.
+    pub fn measure_pair<R, S>(
+        &self,
+        mut a: impl FnMut() -> R,
+        mut b: impl FnMut() -> S,
+    ) -> (f64, f64) {
+        let (iters_a, iters_b) = (self.calibrate(&mut a), self.calibrate(&mut b));
+        let (mut times_a, mut times_b) = (Vec::new(), Vec::new());
+        for _ in 0..self.tier().2 {
+            let t = Instant::now();
+            for _ in 0..iters_a {
+                black_box(a());
+            }
+            times_a.push(t.elapsed().as_nanos() as f64 / iters_a as f64);
+            let t = Instant::now();
+            for _ in 0..iters_b {
+                black_box(b());
+            }
+            times_b.push(t.elapsed().as_nanos() as f64 / iters_b as f64);
+        }
+        (median(times_a), median(times_b))
     }
 
     /// [`measure`](Self::measure)s `f` and records the median as an `ns`
@@ -137,6 +172,21 @@ impl Ledger {
         let ns = self.measure(f);
         self.row(cell, metric, "ns", ns);
         ns
+    }
+
+    /// [`measure_pair`](Self::measure_pair)s two arms and records their
+    /// medians as the `ns` rows `metrics`; returns them.
+    pub fn time_pair<R, S>(
+        &mut self,
+        cell: &str,
+        [metric_a, metric_b]: [&str; 2],
+        a: impl FnMut() -> R,
+        b: impl FnMut() -> S,
+    ) -> (f64, f64) {
+        let (ns_a, ns_b) = self.measure_pair(a, b);
+        self.row(cell, metric_a, "ns", ns_a);
+        self.row(cell, metric_b, "ns", ns_b);
+        (ns_a, ns_b)
     }
 
     /// The ledger as one JSON object: a header with the host shape
@@ -184,6 +234,12 @@ impl Ledger {
     }
 }
 
+/// The median of `times` (non-empty).
+fn median(mut times: Vec<f64>) -> f64 {
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
 /// Geometric mean of `xs` (all positive).
 pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
@@ -215,6 +271,25 @@ mod tests {
             };
             assert!(ledger.time("noop", "add_ns", || black_box(1) + 1) > 0.0);
         }
+    }
+
+    #[test]
+    fn a_pair_alternates_its_arms_and_records_both() {
+        let calls = std::cell::RefCell::new(Vec::new());
+        let mut ledger = Ledger::new(true);
+        let (a, b) = ledger.time_pair(
+            "noop",
+            ["a_ns", "b_ns"],
+            || calls.borrow_mut().push('a'),
+            || calls.borrow_mut().push('b'),
+        );
+        assert!(a > 0.0 && b > 0.0);
+        assert_eq!(ledger.rows.len(), 2);
+        // After both calibrations, the samples take turns.
+        let calls = calls.into_inner();
+        let last_a = calls.iter().rposition(|&c| c == 'a').unwrap();
+        let first_b = calls.iter().position(|&c| c == 'b').unwrap();
+        assert!(first_b < last_a, "the arms alternate");
     }
 
     #[test]

@@ -19,6 +19,7 @@ use std::time::Instant;
 use tdfs_graph::GraphView;
 use tdfs_query::plan::QueryPlan;
 
+use crate::attribution::ChangedEdges;
 use crate::candidates::{accept, walk, Workspace};
 use crate::config::MatcherConfig;
 use crate::engine::{EngineError, InitialSource};
@@ -99,6 +100,7 @@ pub fn run<V: GraphView>(
                 batch.clone(),
                 None,
                 if last_level { sink } else { None },
+                source.changed().map(|c| &**c),
             );
             let total: usize = counts.iter().sum();
             if last_level {
@@ -120,6 +122,7 @@ pub fn run<V: GraphView>(
                 stride,
                 batch.clone(),
                 Some((&mut out, &offsets)),
+                None,
                 None,
             );
             peak_bytes =
@@ -162,24 +165,29 @@ pub(crate) fn upper_bound<V: GraphView>(g: &V, plan: &QueryPlan, m: &[u32]) -> u
 /// Walks Eq. (1) for the position after the partial `m` from scratch
 /// (BFS keeps no stored levels to seed from) and hands each candidate
 /// that passes the full consumption predicate to `emit`, in ascending
-/// order.
+/// order. At the leaf, `changed` (a maintenance pass's attribution
+/// order) also drops every match the pass does not own.
 pub(crate) fn extend<V: GraphView>(
     g: &V,
     plan: &QueryPlan,
     m: &[u32],
     ws: &mut Workspace,
+    changed: Option<&ChangedEdges>,
     emit: impl FnMut(u32),
 ) {
     let level = m.len();
-    let keep = |v: u32| accept(g, plan, level, v, m, true);
+    let changed = changed.filter(|_| level + 1 == plan.k());
+    let keep =
+        |v: u32| accept(g, plan, level, v, m, true) && changed.is_none_or(|c| c.owns(plan, m, v));
     walk(g, m, None, &plan.levels[level].backward, ws, keep, emit);
 }
 
 /// Runs one batch pass across `cfg.num_warps` workers, extending each
 /// partial of the batch by one position. Without an output target it
 /// returns per-partial candidate counts (emitting full matches to
-/// `sink`); with one it writes the extended partials at the given
-/// offsets.
+/// `sink`, and keeping only the matches `changed` attributes to the
+/// run, when given); with one it writes the extended partials at the
+/// given offsets.
 #[allow(clippy::too_many_arguments)]
 fn parallel_pass<V: GraphView>(
     g: &V,
@@ -190,6 +198,7 @@ fn parallel_pass<V: GraphView>(
     batch: std::ops::Range<usize>,
     fill: Option<(&mut Vec<u32>, &[usize])>,
     sink: Option<&dyn MatchSink>,
+    changed: Option<&ChangedEdges>,
 ) -> Vec<usize> {
     let n = batch.len();
     let workers = cfg.num_warps.min(n.max(1));
@@ -219,7 +228,7 @@ fn parallel_pass<V: GraphView>(
                                 full[..stride].copy_from_slice(m);
                             }
                             let mut found = 0usize;
-                            extend(g, plan, m, &mut ws, |v| {
+                            extend(g, plan, m, &mut ws, changed, |v| {
                                 found += 1;
                                 if let Some(sink) = sink {
                                     full[stride] = v;
@@ -246,7 +255,7 @@ fn parallel_pass<V: GraphView>(
                             let p = batch.start + i;
                             let m = &frontier[p * stride..(p + 1) * stride];
                             prefetch_after(p);
-                            extend(g, plan, m, &mut ws, |v| {
+                            extend(g, plan, m, &mut ws, None, |v| {
                                 out_chunk[cursor..cursor + stride].copy_from_slice(m);
                                 out_chunk[cursor + stride] = v;
                                 cursor += stride + 1;

@@ -17,6 +17,7 @@ use tdfs_graph::{GraphView, VertexId};
 use tdfs_mem::{LevelStore, StackError};
 use tdfs_query::plan::QueryPlan;
 
+use crate::attribution::ChangedEdges;
 use crate::config::MatcherConfig;
 use crate::sink::MatchSink;
 
@@ -285,7 +286,10 @@ pub fn fill_level<V: GraphView, L: LevelStore>(
 /// either way, only the (now nonexistent) extra pass differs.
 ///
 /// `stack` holds the levels below the leaf (potential reuse sources);
-/// `valid_from` is as in [`operands`].
+/// `valid_from` is as in [`operands`]. Under `changed`, a maintenance
+/// pass's attribution order, `keep` also drops every match the pass
+/// does not own ([`ChangedEdges::owns`]).
+#[allow(clippy::too_many_arguments)]
 fn fuse_leaf_level<V: GraphView, L: LevelStore>(
     g: &V,
     plan: &QueryPlan,
@@ -293,17 +297,21 @@ fn fuse_leaf_level<V: GraphView, L: LevelStore>(
     stack: &[L],
     ws: &mut Workspace,
     valid_from: usize,
+    changed: Option<&ChangedEdges>,
     on_match: impl FnMut(u32),
 ) {
     let leaf = plan.k() - 1;
     let (seed, operands) = operands(plan, leaf, stack, valid_from);
-    let keep = |v: u32| accept(g, plan, leaf, v, m, true);
+    let keep =
+        |v: u32| accept(g, plan, leaf, v, m, true) && changed.is_none_or(|c| c.owns(plan, m, v));
     walk(g, m, seed, operands, ws, keep, on_match);
 }
 
 /// Runs the fused leaf for the full prefix `m[..k-1]` and returns how
 /// many matches it found, emitting each to `sink` when there is one.
-/// Every engine with a DFS stack consumes its leaf through here.
+/// Every engine with a DFS stack consumes its leaf through here, and
+/// `changed` is its run's attribution order, if it has one.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn count_leaf<V: GraphView, L: LevelStore>(
     g: &V,
     plan: &QueryPlan,
@@ -312,11 +320,12 @@ pub(crate) fn count_leaf<V: GraphView, L: LevelStore>(
     ws: &mut Workspace,
     valid_from: usize,
     sink: Option<&dyn MatchSink>,
+    changed: Option<&ChangedEdges>,
 ) -> u64 {
     let k = plan.k();
     let mut found = 0u64;
     let Some(sink) = sink else {
-        fuse_leaf_level(g, plan, m, stack, ws, valid_from, |_| found += 1);
+        fuse_leaf_level(g, plan, m, stack, ws, valid_from, changed, |_| found += 1);
         return found;
     };
     // Assemble emitted matches in a workspace-resident buffer (taken
@@ -325,7 +334,7 @@ pub(crate) fn count_leaf<V: GraphView, L: LevelStore>(
     buf.clear();
     buf.extend_from_slice(&m[..k - 1]);
     buf.push(0);
-    fuse_leaf_level(g, plan, m, stack, ws, valid_from, |v| {
+    fuse_leaf_level(g, plan, m, stack, ws, valid_from, changed, |v| {
         found += 1;
         buf[k - 1] = v;
         sink.emit(&buf);
@@ -457,9 +466,9 @@ mod tests {
         let mut leaf_plan = plan.clone();
         leaf_plan.levels.truncate(level + 1);
         let mut fused = Vec::new();
-        fuse_leaf_level(g, &leaf_plan, m, s, ws, 2, |v| fused.push(v));
+        fuse_leaf_level(g, &leaf_plan, m, s, ws, 2, None, |v| fused.push(v));
         let mut bfs = Vec::new();
-        crate::bfs::extend(g, plan, &m[..level], ws, |v| bfs.push(v));
+        crate::bfs::extend(g, plan, &m[..level], ws, None, |v| bfs.push(v));
         assert_eq!(fused, filled, "fused leaf, level {level}, prefix {m:?}");
         assert_eq!(bfs, filled, "BFS walk, level {level}, prefix {m:?}");
         let mut checked = 1;
@@ -521,7 +530,7 @@ mod tests {
         fill_level(&g, &plan, 2, &m, &mut s, &mut ws, 2).unwrap();
         let (head, _) = s.split_at(3);
         let mut got = Vec::new();
-        fuse_leaf_level(&g, &plan, &m, head, &mut ws, 2, |v| got.push(v));
+        fuse_leaf_level(&g, &plan, &m, head, &mut ws, 2, None, |v| got.push(v));
         assert_eq!(got, vec![3, 4]);
     }
 

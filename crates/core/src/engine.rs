@@ -21,7 +21,7 @@
 //! warp launcher that every warp of a run reads.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
@@ -32,6 +32,7 @@ use tdfs_graph::GraphView;
 use tdfs_mem::{ArrayLevel, LevelStore, PagedLevel, StackError};
 use tdfs_query::plan::{LevelPlan, QueryPlan};
 
+use crate::attribution::ChangedEdges;
 use crate::candidates::{accept, count_leaf, fill_level, Workspace};
 use crate::config::{MatcherConfig, Strategy};
 use crate::sink::MatchSink;
@@ -130,6 +131,16 @@ pub enum InitialSource {
     /// A pre-admitted edge list from the caller (a durable shard, or
     /// seed edges), which no warp re-filters.
     Edges(Vec<(u32, u32)>),
+    /// A standing-query maintenance pass's pre-admitted seeds, each an
+    /// orientation of one of `changed`'s edges. A match is kept only by
+    /// the pass anchored at its smallest changed edge (see
+    /// [`crate::attribution`]).
+    Anchored {
+        /// The seeds, which no warp re-filters.
+        edges: Vec<(u32, u32)>,
+        /// The batch side's changed edges, in attribution order.
+        changed: Arc<ChangedEdges>,
+    },
     /// The host filter's admitted edges (STMatch's preprocessing step).
     HostFiltered {
         /// [`host_filter_edges`]' list.
@@ -145,6 +156,9 @@ pub enum InitialSource {
         data: Vec<u32>,
         /// Matched prefix length (≥ 2).
         stride: usize,
+        /// The changed edges of the anchored source the prefixes grew
+        /// from, if any.
+        changed: Option<Arc<ChangedEdges>>,
     },
 }
 
@@ -172,17 +186,31 @@ impl InitialSource {
         }
     }
 
+    /// The changed edges a maintenance pass attributes its matches by,
+    /// if this is one.
+    pub(crate) fn changed(&self) -> Option<&Arc<ChangedEdges>> {
+        match self {
+            Self::Anchored { changed, .. } => Some(changed),
+            Self::Partials { changed, .. } => changed.as_ref(),
+            _ => None,
+        }
+    }
+
     /// Number of initial tasks.
     pub(crate) fn len<V: GraphView>(&self, g: &V) -> usize {
         match self {
             Self::Arcs => g.num_arcs(),
-            Self::Edges(edges) | Self::HostFiltered { edges, .. } => edges.len(),
-            Self::Partials { data, stride } => data.len() / stride,
+            Self::Edges(edges)
+            | Self::Anchored { edges, .. }
+            | Self::HostFiltered { edges, .. } => edges.len(),
+            Self::Partials { data, stride, .. } => data.len() / stride,
         }
     }
 
     /// Loads task `i`'s prefix into `m` and returns its length, or
     /// `None` when the edge filter rejects arc `i` (counted in `stats`).
+    /// `cursor` is the warp's place in the arc stream, so consecutive
+    /// arcs of a chunk cost no search.
     pub(crate) fn seed<V: GraphView>(
         &self,
         g: &V,
@@ -190,11 +218,14 @@ impl InitialSource {
         i: usize,
         m: &mut [u32],
         stats: &mut RunStats,
+        cursor: &mut ArcCursor,
     ) -> Option<usize> {
         let (v1, v2) = match self {
-            Self::Arcs => Some(g.arc(i)).filter(|&arc| admit(g, plan, arc, stats))?,
-            Self::Edges(edges) | Self::HostFiltered { edges, .. } => edges[i],
-            Self::Partials { data, stride } => {
+            Self::Arcs => Some(cursor.arc(g, i)).filter(|&arc| admit(g, plan, arc, stats))?,
+            Self::Edges(edges)
+            | Self::Anchored { edges, .. }
+            | Self::HostFiltered { edges, .. } => edges[i],
+            Self::Partials { data, stride, .. } => {
                 m[..*stride].copy_from_slice(&data[i * stride..(i + 1) * stride]);
                 return Some(*stride);
             }
@@ -219,10 +250,12 @@ impl InitialSource {
                 .filter(|&arc| admit(g, plan, arc, stats))
                 .flat_map(|(v1, v2)| [v1, v2])
                 .collect(),
-            Self::Edges(edges) | Self::HostFiltered { edges, .. } => {
+            Self::Edges(edges)
+            | Self::Anchored { edges, .. }
+            | Self::HostFiltered { edges, .. } => {
                 edges.iter().flat_map(|&(v1, v2)| [v1, v2]).collect()
             }
-            Self::Partials { data, stride } => return (data.clone(), *stride),
+            Self::Partials { data, stride, .. } => return (data.clone(), *stride),
         };
         (frontier, 2)
     }
@@ -236,7 +269,9 @@ impl InitialSource {
         let stats = &mut result.stats;
         match self {
             Self::Arcs | Self::Partials { .. } => {}
-            Self::Edges(edges) => stats.edges_admitted += edges.len() as u64,
+            Self::Edges(edges) | Self::Anchored { edges, .. } => {
+                stats.edges_admitted += edges.len() as u64
+            }
             Self::HostFiltered { edges, took } => {
                 stats.edges_admitted += edges.len() as u64;
                 stats.edges_filtered += (g.num_arcs() - edges.len()) as u64;
@@ -261,6 +296,52 @@ fn admit<V: GraphView>(
         stats.edges_filtered += 1;
     }
     admitted
+}
+
+/// A warp's place in the arc stream: the row holding the last arc it
+/// read. A chunk's arcs are consecutive, so the in-warp edge filter
+/// finds the first one with one search ([`GraphView::arc_row`]) and
+/// walks the rows from there.
+#[derive(Default)]
+pub(crate) struct ArcCursor {
+    /// The row's vertex.
+    u: u32,
+    /// The row's first arc; `end == 0` before the first search.
+    start: usize,
+    /// One past the row's last arc.
+    end: usize,
+}
+
+impl ArcCursor {
+    /// Rows walked forward before a search replaces the walk: a long run
+    /// of empty rows would cost more than the search.
+    const MAX_WALK: usize = 32;
+
+    /// Arc `i`, walking forward from the last arc read when `i` lies at
+    /// or after its row, searching otherwise.
+    #[inline]
+    fn arc<V: GraphView>(&mut self, g: &V, i: usize) -> (u32, u32) {
+        if i < self.start || self.end == 0 {
+            self.seek(g, i);
+        }
+        let mut walked = 0;
+        while i >= self.end {
+            if walked == Self::MAX_WALK {
+                self.seek(g, i);
+                break;
+            }
+            self.u += 1;
+            self.start = self.end;
+            self.end += g.degree(self.u);
+            walked += 1;
+        }
+        (self.u, g.neighbors(self.u)[i - self.start])
+    }
+
+    fn seek<V: GraphView>(&mut self, g: &V, i: usize) {
+        let (u, start) = g.arc_row(i);
+        (self.u, self.start, self.end) = (u, start, start + g.degree(u));
+    }
 }
 
 /// The four edge-filter conditions of §III ("Algorithm Optimizations"),
@@ -423,6 +504,36 @@ impl<'a, V: GraphView> Run<'a, V> {
         if let Some(sink) = self.sink {
             sink.emit(m);
         }
+    }
+
+    /// Counts and emits the complete match `m[..k]` a warp materialized,
+    /// unless the run's attribution order gives it to another pass.
+    #[inline]
+    pub(crate) fn leaf(&self, m: &[u32], local_matches: &mut u64) {
+        let k = self.plan.k();
+        if self
+            .source
+            .changed()
+            .is_none_or(|c| c.owns(self.plan, m, m[k - 1]))
+        {
+            *local_matches += 1;
+            self.emit(&m[..k]);
+        }
+    }
+
+    /// [`count_leaf`] under this run's plan, sink and attribution order.
+    #[inline]
+    pub(crate) fn count_leaf<L: LevelStore>(
+        &self,
+        m: &[u32],
+        stack: &[L],
+        ws: &mut Workspace,
+        valid_from: usize,
+    ) -> u64 {
+        let changed = self.source.changed().map(|c| &**c);
+        count_leaf(
+            self.g, self.plan, m, stack, ws, valid_from, self.sink, changed,
+        )
     }
 
     /// Runs `warp(w, scope)` for every warp `w` of the run and returns
@@ -684,6 +795,7 @@ fn warp_main<'scope, 'env, V: GraphView, L: FactoryLevel>(
     let total = run.source.len(run.g);
     let mut registered_idle = false;
     let mut timer = TauTimer::new(&shared.clock, shared.tau_ns);
+    let mut cursor = ArcCursor::default();
 
     'outer: loop {
         if run.failed() || run.over_deadline() || run.cancelled() {
@@ -755,7 +867,7 @@ fn warp_main<'scope, 'env, V: GraphView, L: FactoryLevel>(
                     let global = run.device.global_index(local);
                     let Some(start_level) =
                         run.source
-                            .seed(run.g, run.plan, global, &mut m, &mut counted)
+                            .seed(run.g, run.plan, global, &mut m, &mut counted, &mut cursor)
                     else {
                         continue;
                     };
@@ -816,14 +928,13 @@ fn dfs<'scope, 'env, V: GraphView, L: FactoryLevel>(
     let k = run.plan.k();
     if start_level == k {
         // The task prefix is already a complete match (k ≤ 3 patterns).
-        *local_matches += 1;
-        run.emit(&m[..k]);
+        run.leaf(m, local_matches);
         return Ok(());
     }
     if run.cfg.fused_leaf && start_level + 1 == k {
         // The whole task is one leaf: a single fused intersection counts
         // and emits without ever materializing `stack[k-1]`.
-        *local_matches += count_leaf(run.g, run.plan, m, &stack.levels, ws, start_level, run.sink);
+        *local_matches += run.count_leaf(m, &stack.levels, ws, start_level);
         return Ok(());
     }
 
@@ -883,8 +994,7 @@ fn dfs<'scope, 'env, V: GraphView, L: FactoryLevel>(
                 );
             }
             if level + 1 == k {
-                *local_matches += 1;
-                run.emit(&m[..k]);
+                run.leaf(m, local_matches);
                 continue;
             }
             // ---- Timeout hook (Alg. 4 lines 12–21): decompose instead
@@ -912,8 +1022,7 @@ fn dfs<'scope, 'env, V: GraphView, L: FactoryLevel>(
             // still fires at shallow depths): the deepest level is one
             // filtered intersection instead of a fill + second pass. ----
             if run.cfg.fused_leaf && level + 2 == k {
-                *local_matches +=
-                    count_leaf(run.g, run.plan, m, &stack.levels, ws, start_level, run.sink);
+                *local_matches += run.count_leaf(m, &stack.levels, ws, start_level);
                 if run.cancelled() {
                     return Ok(());
                 }
@@ -1036,8 +1145,7 @@ fn launch_child_kernel<'scope, 'env, V: GraphView, L: FactoryLevel>(
                 }
                 m[level] = v;
                 if level + 1 == k {
-                    local += 1;
-                    run.emit(&m[..k]);
+                    run.leaf(&m, &mut local);
                     continue;
                 }
                 if let Err(e) = dfs(
@@ -1067,4 +1175,64 @@ fn launch_child_kernel<'scope, 'env, V: GraphView, L: FactoryLevel>(
         });
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use tdfs_graph::{CsrGraph, DeltaCsr, EdgeBatch, GraphBuilder};
+
+    /// Empty rows at the start, between rows and at the end, one run of
+    /// them longer than the cursor's walk, and a hub adjacent to most
+    /// vertices.
+    fn sparse_with_hub() -> CsrGraph {
+        let mut b = GraphBuilder::new().num_vertices(200);
+        for v in (3..60).step_by(3) {
+            b.push_edge(v, v + 1);
+            b.push_edge(100, v);
+        }
+        b.push_edge(150, 151);
+        b.push_edge(100, 151);
+        b.push_edge(151, 197);
+        b.build()
+    }
+
+    /// Reads every arc the way warps of a `group`-device run read their
+    /// chunks (one cursor per warp, chunks dealt round-robin) and checks
+    /// each against the searched `arc`.
+    fn check_cursor<V: GraphView>(g: &V) {
+        let n = g.num_arcs();
+        for group in 1..=3 {
+            for warps in 1..=3 {
+                let mut cursors: Vec<ArcCursor> =
+                    (0..warps).map(|_| ArcCursor::default()).collect();
+                let chunks = n.div_ceil(group).div_ceil(8);
+                for c in 0..chunks {
+                    let cursor = &mut cursors[c % warps];
+                    for local in c * 8..((c + 1) * 8).min(n.div_ceil(group)) {
+                        let i = local * group;
+                        if i < n {
+                            assert_eq!(cursor.arc(g, i), g.arc(i), "arc {i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_arc_cursor_reads_what_a_search_reads() {
+        let g = sparse_with_hub();
+        check_cursor(&g);
+        let d = DeltaCsr::from_base(Arc::new(g));
+        let batch = EdgeBatch::new()
+            .insert(0, 199)
+            .insert(100, 2)
+            .delete(100, 9)
+            .delete(150, 151);
+        let (d, _) = d.apply(&batch).unwrap();
+        assert!(!d.is_compact());
+        check_cursor(&d);
+    }
 }

@@ -20,9 +20,9 @@ use tdfs_graph::GraphView;
 use tdfs_mem::{ArrayLevel, LevelStore, OverflowPolicy, StackError};
 use tdfs_query::plan::QueryPlan;
 
-use crate::candidates::{accept, count_leaf, fill_level, Workspace};
+use crate::candidates::{accept, fill_level, Workspace};
 use crate::config::{ArrayCapacity, MatcherConfig, StackConfig};
-use crate::engine::{lock, warp_share, EngineError, InitialSource, Run};
+use crate::engine::{lock, warp_share, ArcCursor, EngineError, InitialSource, Run};
 use crate::sink::MatchSink;
 use crate::stats::{RunResult, RunStats};
 
@@ -138,6 +138,7 @@ fn warp_loop<V: GraphView>(shared: &HalfSteal<'_, V>, wid: usize) -> RunStats {
     let total = run.source.len(run.g);
     let mut registered_idle = false;
     let mut steps = 0u32;
+    let mut cursor = ArcCursor::default();
 
     'outer: loop {
         steps = steps.wrapping_add(1);
@@ -174,7 +175,7 @@ fn warp_loop<V: GraphView>(shared: &HalfSteal<'_, V>, wid: usize) -> RunStats {
                 let i = run.device.global_index(local);
                 if run
                     .source
-                    .seed(run.g, run.plan, i, &mut m, &mut counted)
+                    .seed(run.g, run.plan, i, &mut m, &mut counted, &mut cursor)
                     .is_some()
                 {
                     roots.push((m[0], m[1]));
@@ -273,13 +274,12 @@ fn step<V: GraphView>(
         s.m[0] = v1;
         s.m[1] = v2;
         if k == 2 {
-            *local_matches += 1;
-            run.emit(&s.m[..2]);
+            run.leaf(&s.m, local_matches);
             return Ok(true);
         }
         if cfg.fused_leaf && k == 3 {
             // The root edge's one remaining level is the leaf: fuse it.
-            *local_matches += count_leaf(g, plan, &s.m, &s.levels, ws, 2, run.sink);
+            *local_matches += run.count_leaf(&s.m, &s.levels, ws, 2);
             return Ok(true);
         }
         fill_level(g, plan, 2, &s.m, &mut s.levels, ws, s.entry)?;
@@ -303,15 +303,14 @@ fn step<V: GraphView>(
             tdfs_gpu::simd::prefetch_read(g.neighbors(s.levels[level].get(s.iters[level])));
         }
         if level + 1 == k {
-            *local_matches += 1;
-            run.emit(&s.m[..k]);
+            run.leaf(&s.m, local_matches);
             return Ok(true);
         }
         if cfg.fused_leaf && level + 2 == k {
             // Consume the leaf in place — no `stack[k-1]` fill, and the
             // level never becomes steal bait (a fused leaf is gone before
             // a thief could lock the stack anyway).
-            *local_matches += count_leaf(g, plan, &s.m, &s.levels, ws, s.entry, run.sink);
+            *local_matches += run.count_leaf(&s.m, &s.levels, ws, s.entry);
             return Ok(true);
         }
         fill_level(g, plan, level + 1, &s.m, &mut s.levels, ws, s.entry)?;

@@ -82,7 +82,7 @@ pub fn run<V: GraphView>(
             if p + 1 < num_partials {
                 tdfs_gpu::simd::prefetch_read(g.neighbors(frontier[(p + 2) * stride - 1]));
             }
-            extend(g, plan, m, &mut ws, |v| {
+            extend(g, plan, m, &mut ws, None, |v| {
                 next.extend_from_slice(m);
                 next.push(v);
             });
@@ -119,6 +119,7 @@ pub fn run<V: GraphView>(
         InitialSource::Partials {
             data: frontier,
             stride,
+            changed: source.changed().cloned(),
         },
     )?;
     result.elapsed = start.elapsed();

@@ -62,6 +62,7 @@ macro_rules! chaos_inject {
 
 pub(crate) use chaos_inject;
 
+pub mod attribution;
 pub mod bfs;
 pub mod cancel;
 pub mod candidates;
@@ -146,12 +147,12 @@ pub fn match_plan_on_edges<V: GraphView>(
     edges: Vec<(u32, u32)>,
     sink: Option<&dyn sink::MatchSink>,
 ) -> Result<RunResult, EngineError> {
-    run_engine(g, plan, cfg, Some(edges), sink)
+    match_plan_from(g, plan, cfg, engine::InitialSource::Edges(edges), sink)
 }
 
-/// The one place a [`Strategy`] picks its engine, and the initial tasks
-/// pick their [`engine::InitialSource`]. `edges` is an optional
-/// pre-admitted initial-edge list (`None` = the whole graph).
+/// The initial tasks pick their [`engine::InitialSource`]: `edges` is
+/// an optional pre-admitted initial-edge list (`None` = the whole
+/// graph).
 fn run_engine<V: GraphView>(
     g: &V,
     plan: &QueryPlan,
@@ -159,8 +160,21 @@ fn run_engine<V: GraphView>(
     edges: Option<Vec<(u32, u32)>>,
     sink: Option<&dyn sink::MatchSink>,
 ) -> Result<RunResult, EngineError> {
-    let device = || Device::in_group(0, 1, cfg.chunk_size, cfg.queue_capacity);
     let source = engine::InitialSource::choose(g, plan, cfg, edges);
+    match_plan_from(g, plan, cfg, source, sink)
+}
+
+/// The one place a [`Strategy`] picks its engine: runs `plan` from
+/// `source`'s initial tasks, on a fresh device. A durable maintenance
+/// pass enters here with an [`engine::InitialSource::Anchored`] shard.
+pub fn match_plan_from<V: GraphView>(
+    g: &V,
+    plan: &QueryPlan,
+    cfg: &MatcherConfig,
+    source: engine::InitialSource,
+    sink: Option<&dyn sink::MatchSink>,
+) -> Result<RunResult, EngineError> {
+    let device = || Device::in_group(0, 1, cfg.chunk_size, cfg.queue_capacity);
     match cfg.strategy {
         Strategy::Timeout { .. } | Strategy::NewKernel { .. } => engine::run_on_device(
             g,

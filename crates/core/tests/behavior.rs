@@ -1,12 +1,13 @@
 //! Behavioural invariants from the paper's §III design claims, checked
 //! on straggler-bearing inputs.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use tdfs_core::config::{MatcherConfig, Strategy};
 use tdfs_core::{host_filter_edges, match_pattern, match_plan, reference_count};
 use tdfs_graph::generators::{add_twin_hubs, barabasi_albert, star_hub_graph};
-use tdfs_graph::CsrGraph;
+use tdfs_graph::{CsrGraph, DeltaCsr, EdgeBatch, GraphBuilder, GraphView};
 use tdfs_query::plan::QueryPlan;
 use tdfs_query::PatternId;
 
@@ -170,6 +171,65 @@ fn edge_filter_counts_partition_arcs() {
             assert!(r.stats.edges_filtered > 0, "{name}");
         }
     }
+}
+
+/// The in-warp edge filter walks each chunk's arcs along the rows
+/// instead of searching for every arc, and must read the very arcs the
+/// host filter lists: on a graph with empty rows and a hub, as a CSR and
+/// as a `DeltaCsr` with an overlay, a one-warp run at τ = ∞ does the same
+/// work from either source, and multi-warp runs count the same.
+#[test]
+fn in_warp_filter_reads_the_arcs_the_host_filter_lists() {
+    let mut b = GraphBuilder::new().num_vertices(400);
+    for v in (5..300).step_by(4) {
+        b.push_edge(v, v + 1);
+        b.push_edge(v + 1, v + 2);
+        b.push_edge(v, v + 2);
+        b.push_edge(200, v);
+    }
+    b.push_edge(350, 398);
+    b.push_edge(200, 398);
+    let csr = b.build();
+    let delta = DeltaCsr::from_base(Arc::new(csr.clone()))
+        .apply(
+            &EdgeBatch::new()
+                .insert(0, 399)
+                .insert(200, 3)
+                .insert(3, 399)
+                .delete(200, 9)
+                .delete(5, 6),
+        )
+        .unwrap()
+        .0;
+    assert!(!delta.is_compact());
+    fn check<V: GraphView>(g: &V, name: &str) {
+        for pid in [1, 2, 3, 5, 7] {
+            let pattern = PatternId(pid).pattern();
+            for warps in [1, 3] {
+                let arcs = MatcherConfig::no_steal().with_warps(warps);
+                let listed = MatcherConfig {
+                    host_edge_filter: true,
+                    ..arcs.clone()
+                };
+                let plan = QueryPlan::build_with(&pattern, arcs.plan);
+                let (ra, rl) = (
+                    match_plan(g, &plan, &arcs).unwrap(),
+                    match_plan(g, &plan, &listed).unwrap(),
+                );
+                let cell = format!("{name} P{pid} {warps} warps");
+                assert_eq!(ra.matches, rl.matches, "{cell}");
+                assert_eq!(ra.matches, reference_count(g, &plan), "{cell}");
+                assert_eq!(ra.stats.edges_admitted, rl.stats.edges_admitted, "{cell}");
+                assert_eq!(ra.stats.edges_filtered, rl.stats.edges_filtered, "{cell}");
+                if warps == 1 {
+                    assert_eq!(ra.stats.warp, rl.stats.warp, "{cell}");
+                    assert_eq!(ra.stats.warp_makespan, rl.stats.warp_makespan, "{cell}");
+                }
+            }
+        }
+    }
+    check(&csr, "csr");
+    check(&delta, "delta");
 }
 
 #[test]

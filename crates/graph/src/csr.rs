@@ -358,10 +358,16 @@ impl CsrGraph {
     /// The `i`-th directed arc in CSR order, `i < num_arcs()`.
     /// O(log n) via binary search over `row_ptr`.
     pub fn arc(&self, i: usize) -> (VertexId, VertexId) {
+        (self.arc_row(i).0, self.col_idx[i])
+    }
+
+    /// The row holding arc `i`, `i < num_arcs()`, and the index of its
+    /// first arc. O(log n) via binary search over `row_ptr`.
+    pub fn arc_row(&self, i: usize) -> (VertexId, usize) {
         debug_assert!(i < self.col_idx.len());
         // partition_point returns the first v with row_ptr[v+1] > i.
         let u = self.row_ptr[1..].partition_point(|&end| end <= i);
-        (u as VertexId, self.col_idx[i])
+        (u as VertexId, self.row_ptr[u])
     }
 
     /// Replaces the label array (used by the label-selectivity experiment

@@ -156,6 +156,14 @@ impl GraphView for GraphBase {
     }
 
     #[inline]
+    fn arc_row(&self, i: usize) -> (VertexId, usize) {
+        match self {
+            GraphBase::Heap(g) => g.arc_row(i),
+            GraphBase::Mapped(m) => GraphView::arc_row(&**m, i),
+        }
+    }
+
+    #[inline]
     fn arc(&self, i: usize) -> (VertexId, VertexId) {
         match self {
             GraphBase::Heap(g) => g.arc(i),
@@ -528,10 +536,20 @@ impl DeltaCsr {
         if self.offsets.is_empty() {
             return self.base.arc(i);
         }
+        let (u, start) = self.arc_row(i);
+        (u, self.neighbors(u)[i - start])
+    }
+
+    /// The row holding the view's arc `i` and the index of its first
+    /// arc: one binary search over the view's (or a compact view's
+    /// base's) row offsets.
+    pub fn arc_row(&self, i: usize) -> (VertexId, usize) {
+        if self.offsets.is_empty() {
+            return self.base.arc_row(i);
+        }
         debug_assert!(i < self.arcs);
         let u = self.offsets[1..].partition_point(|&end| end <= i);
-        let row = self.neighbors(u as VertexId);
-        (u as VertexId, row[i - self.offsets[u]])
+        (u as VertexId, self.offsets[u])
     }
 
     /// Applies `batch` copy-on-write: returns the graph at version
@@ -757,6 +775,11 @@ impl GraphView for DeltaCsr {
     #[inline]
     fn num_labels(&self) -> usize {
         DeltaCsr::num_labels(self)
+    }
+
+    #[inline]
+    fn arc_row(&self, i: usize) -> (VertexId, usize) {
+        DeltaCsr::arc_row(self, i)
     }
 
     #[inline]

@@ -714,9 +714,10 @@ impl GraphView for MmapGraph {
         }
     }
 
-    fn arc(&self, i: usize) -> (VertexId, VertexId) {
+    fn arc_row(&self, i: usize) -> (VertexId, usize) {
         debug_assert!(i < self.header.num_arcs);
-        // Binary search the row containing arc i.
+        // Binary search the row containing arc i: the last vertex whose
+        // row starts at or before it.
         let mut lo = 0usize;
         let mut hi = self.header.num_vertices;
         while lo + 1 < hi {
@@ -727,8 +728,7 @@ impl GraphView for MmapGraph {
                 hi = mid;
             }
         }
-        let row = self.neighbors(lo as VertexId);
-        (lo as VertexId, row[i - self.offset(lo) as usize])
+        (lo as VertexId, self.offset(lo) as usize)
     }
 }
 

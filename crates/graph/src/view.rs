@@ -30,7 +30,8 @@ use crate::csr::{CsrGraph, Label, VertexId};
 ///   degree — stack-capacity sizing needs "at least", not "exactly";
 /// - [`arc`](Self::arc) enumerates arcs in row-major CSR order (vertex
 ///   by vertex, neighbors ascending), consistent with
-///   [`arcs`](Self::arcs).
+///   [`arcs`](Self::arcs), and [`arc_row`](Self::arc_row) names the row
+///   each arc lies in.
 pub trait GraphView: Sync {
     /// Number of vertices.
     fn num_vertices(&self) -> usize;
@@ -56,8 +57,18 @@ pub trait GraphView: Sync {
     /// Number of distinct labels (`1` for unlabeled graphs).
     fn num_labels(&self) -> usize;
 
+    /// The row holding the `i`-th directed arc in row-major order,
+    /// `i < num_arcs()`, and the index of that row's first arc: one
+    /// search over the row offsets. A reader of consecutive arcs
+    /// searches once and walks the rows from there.
+    fn arc_row(&self, i: usize) -> (VertexId, usize);
+
     /// The `i`-th directed arc in row-major order, `i < num_arcs()`.
-    fn arc(&self, i: usize) -> (VertexId, VertexId);
+    #[inline]
+    fn arc(&self, i: usize) -> (VertexId, VertexId) {
+        let (u, start) = self.arc_row(i);
+        (u, self.neighbors(u)[i - start])
+    }
 
     /// Degree of vertex `v`.
     #[inline]
@@ -119,6 +130,11 @@ impl GraphView for CsrGraph {
     #[inline]
     fn num_labels(&self) -> usize {
         CsrGraph::num_labels(self)
+    }
+
+    #[inline]
+    fn arc_row(&self, i: usize) -> (VertexId, usize) {
+        CsrGraph::arc_row(self, i)
     }
 
     #[inline]
@@ -187,6 +203,11 @@ impl<V: GraphView + Send> GraphView for std::sync::Arc<V> {
     }
 
     #[inline]
+    fn arc_row(&self, i: usize) -> (VertexId, usize) {
+        (**self).arc_row(i)
+    }
+
+    #[inline]
     fn arc(&self, i: usize) -> (VertexId, VertexId) {
         (**self).arc(i)
     }
@@ -217,6 +238,9 @@ mod tests {
         let mut sum = 0u64;
         for (u, v) in g.arcs() {
             assert_eq!(g.arc(n), (u, v));
+            let (row, start) = g.arc_row(n);
+            assert_eq!(row, u);
+            assert_eq!(g.neighbors(u)[n - start], v);
             n += 1;
             sum += u as u64 + v as u64;
         }

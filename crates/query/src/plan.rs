@@ -83,11 +83,11 @@ impl QueryPlan {
     /// Rooted plans drive incremental match maintenance: a changed data
     /// edge is fed as the sole initial task for positions `(0, 1)`, so
     /// the engine enumerates exactly the embeddings mapping `(a, b)` onto
-    /// that edge. Symmetry breaking is forced *off* (the caller
-    /// canonicalizes embeddings under `Aut(P)` instead, since a symmetry
-    /// constraint could discard the one orientation that passes through
-    /// the changed edge); `aut_size` is 1 and emissions are raw
-    /// embeddings.
+    /// that edge. Symmetry breaking is forced *off* (the caller divides
+    /// each pass's count by the anchor's stabilizer size instead, since
+    /// a symmetry constraint could discard the one orientation that
+    /// passes through the changed edge); `aut_size` is 1 and emissions
+    /// are raw embeddings.
     pub fn build_rooted(pattern: &Pattern, a: usize, b: usize, options: PlanOptions) -> Self {
         let options = PlanOptions {
             symmetry_breaking: false,

@@ -53,11 +53,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use tdfs_core::attribution::ChangedEdges;
 use tdfs_core::engine::{run_on_device, InitialSource};
 use tdfs_core::stack::StackFactory;
 use tdfs_core::{
-    match_plan_on_edges, CancelFlag, CollectSink, EngineError, MatchSink, MatcherConfig,
-    MemoryBudget, RunResult, RunStats, Strategy,
+    match_plan_from, CancelFlag, CollectSink, EngineError, MatchSink, MatcherConfig, MemoryBudget,
+    RunResult, RunStats, Strategy,
 };
 use tdfs_gpu::device::Device;
 use tdfs_gpu::lease::{AckOutcome, Lease, LeaseStats, LeaseTable};
@@ -337,6 +338,9 @@ pub(crate) struct DurableJob<'a, V: GraphView> {
     pub collector: Option<&'a CollectSink>,
     /// Client streaming sink (pattern-vertex indexing).
     pub client: Option<&'a dyn MatchSink>,
+    /// A maintenance pass's attribution order: every shard runs as an
+    /// [`InitialSource::Anchored`] source over it.
+    pub changed: Option<&'a Arc<ChangedEdges>>,
 }
 
 /// Builds the shared state for a fresh durable query, sharding the
@@ -391,6 +395,14 @@ pub(crate) fn fresh_state<V: GraphView>(
 /// race on the lease table, and each runs its shards single-warp.
 fn shard_workers(config: &MatcherConfig) -> usize {
     config.num_warps.max(1)
+}
+
+/// Shard workers `execute` spawns for a run with `pending` shards to
+/// lease: one per warp, but no more than there are shards, so a worker
+/// with nothing to lease is never spawned and joined. At least one, so
+/// a drained ledger still finishes through a worker's exit.
+fn spawned_workers(config: &MatcherConfig, pending: usize) -> usize {
+    shard_workers(config).min(pending).max(1)
 }
 
 /// Admitted edges per shard for a query of `n` admitted edges run by
@@ -525,18 +537,18 @@ pub(crate) fn execute<V: GraphView>(
     dcfg: &DurableConfig,
     start: Instant,
 ) -> Result<RunResult, EngineError> {
-    let workers = shard_workers(job.config);
     // A worker's resident task queue is sized for the query's full
     // shard: a shard seeds at most that many walks, so the full-query
     // queue is outsized for it, and queue-full still degrades to
     // in-place processing.
     let full_shard = shard_target(
         job.edges.len(),
-        workers,
+        shard_workers(job.config),
         job.config.chunk_size,
         dcfg.shard_edges,
     );
     let queue = job.config.queue_capacity.min(shard_queue(full_shard));
+    let workers = spawned_workers(job.config, state.ledger.pending_len());
     let live = AtomicUsize::new(workers);
 
     std::thread::scope(|scope| {
@@ -692,6 +704,13 @@ fn run_shard<V: GraphView>(
         .min(shard_queue(lease.task.len() as usize));
     let shard = lease.task;
     let edges = job.edges[shard.start as usize..shard.end as usize].to_vec();
+    let source = match job.changed {
+        Some(changed) => InitialSource::Anchored {
+            edges,
+            changed: Arc::clone(changed),
+        },
+        None => InitialSource::Edges(edges),
+    };
     let buffer = (job.collector.is_some() || job.client.is_some()).then(|| ShardBuffer {
         rows: Mutex::new(Vec::new()),
     });
@@ -711,9 +730,9 @@ fn run_shard<V: GraphView>(
                 &d.stacks,
                 Clock::real(),
                 sink_opt,
-                InitialSource::Edges(edges),
+                source,
             ),
-            None => match_plan_on_edges(job.graph, job.plan, &cfg, edges, sink_opt),
+            None => match_plan_from(job.graph, job.plan, &cfg, source, sink_opt),
         }
     }));
 
@@ -890,5 +909,16 @@ mod tests {
             );
             assert_eq!(state.ledger.pending_len(), shards, "{edges} edges");
         }
+    }
+
+    /// A run spawns one shard worker per warp, but never more than it has
+    /// shards to lease, and always at least one.
+    #[test]
+    fn a_run_spawns_no_worker_without_a_shard_to_lease() {
+        let four = MatcherConfig::tdfs().with_warps(4);
+        for (pending, workers) in [(0, 1), (1, 1), (3, 3), (4, 4), (9, 4)] {
+            assert_eq!(spawned_workers(&four, pending), workers, "{pending} shards");
+        }
+        assert_eq!(spawned_workers(&MatcherConfig::tdfs().with_warps(1), 9), 1);
     }
 }

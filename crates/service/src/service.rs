@@ -25,6 +25,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use tdfs_core::attribution::ChangedEdges;
 use tdfs_core::budgeted_map_options;
 use tdfs_core::engine::edge_admitted;
 use tdfs_core::retry::{retry, BackoffPolicy, Retry};
@@ -682,6 +683,9 @@ struct RunSpec {
     /// (filtered by plan admission) instead of the graph's full
     /// admitted-edge list — the delta-edge-anchored maintenance sweep.
     seed_edges: Option<Vec<(u32, u32)>>,
+    /// A maintenance pass's attribution order over its batch side's
+    /// changed edges; `None` for client queries.
+    changed: Option<Arc<ChangedEdges>>,
     /// Per-run scope of the service memory budget (when configured):
     /// attached to the engine config at execution so arena pages are
     /// charged against the global budget, and readable by the governor
@@ -1165,6 +1169,7 @@ impl Service {
                 sink: request.sink,
                 cancel: cancel.clone(),
                 seed_edges: request.seed_edges,
+                changed: None,
                 scope: self.inner.budget.as_ref().map(MemoryBudget::scoped),
                 resume: None,
             },
@@ -1357,6 +1362,7 @@ impl Service {
                 sink: None,
                 cancel: cancel.clone(),
                 seed_edges: None,
+                changed: None,
                 scope: self.inner.budget.as_ref().map(MemoryBudget::scoped),
                 resume: Some(snap),
             },
@@ -1595,20 +1601,27 @@ impl Service {
         Ok(next.version())
     }
 
-    /// One side of a standing query's delta: the number (and optionally
-    /// embeddings) of `sq.pattern` matches in `view` through at least
-    /// one `changed` edge. Runs one anchored pass per rooted plan, all
-    /// feeding one canonicalizing dedup sink, on the calling thread
+    /// One side of a standing query's delta: the number of distinct
+    /// `sq.pattern` matches in `view` through at least one `changed`
+    /// edge, with their embeddings when the subscription asked for them.
+    /// Runs one anchored pass per rooted plan, on the calling thread,
     /// through the durable run client queries use ([`run_durable`]).
+    /// Each pass keeps only the matches whose smallest changed edge is
+    /// its anchor, so it counts every class it owns `|Stab(r)|` times,
+    /// and the side's count is the sum of the quotients (see
+    /// [`crate::standing`]). Only a subscription with embeddings feeds
+    /// its passes into a [`DedupSink`].
     fn maintain(
         &self,
         sq: &StandingQuery,
         view: &Arc<DeltaCsr>,
         changed: &[(u32, u32)],
     ) -> Result<DeltaSide, EngineError> {
-        let sink = Arc::new(DedupSink::new(sq.aut.clone(), sq.report_embeddings));
+        let dedup = sq
+            .report_embeddings
+            .then(|| Arc::new(DedupSink::new(sq.aut.clone())));
         if changed.is_empty() {
-            return Ok(sink.take());
+            return Ok((0, dedup.map(|_| Vec::new())));
         }
         let run = RunSpec {
             id: 0,
@@ -1616,17 +1629,30 @@ impl Service {
             graph: view.clone(),
             pattern: sq.pattern.clone(),
             config: sq.config.clone(),
-            sink: Some(sink.clone()),
+            sink: dedup.clone().map(|d| d as Arc<dyn MatchSink + Send + Sync>),
             cancel: CancelFlag::new(),
             seed_edges: Some(oriented_seeds(changed)),
+            changed: Some(Arc::new(ChangedEdges::new(changed))),
             scope: self.inner.budget.as_ref().map(MemoryBudget::scoped),
             resume: None,
         };
-        for plan in &sq.plans {
+        let mut count = 0;
+        for rooted in &sq.plans {
             lock_metrics(&self.inner).maintenance_jobs += 1;
-            run_durable(&self.inner, &run, plan, None, None, Instant::now(), false).1?;
+            let now = Instant::now();
+            let matches = run_durable(&self.inner, &run, &rooted.plan, None, None, now, false)
+                .1?
+                .matches;
+            debug_assert_eq!(
+                matches % rooted.stabilizer,
+                0,
+                "a pass counts each class it owns |Stab(r)| times"
+            );
+            count += matches / rooted.stabilizer;
         }
-        Ok(sink.take())
+        let embeddings = dedup.map(|d| d.take());
+        debug_assert!(embeddings.as_ref().is_none_or(|e| e.len() as u64 == count));
+        Ok((count, embeddings))
     }
 
     /// Live progress of a query (pending/outstanding/acked shards,
@@ -2061,6 +2087,7 @@ fn run_durable(
         deadline,
         collector,
         client: run.sink.as_deref().map(|s| s as &dyn MatchSink),
+        changed: run.changed.as_ref(),
     };
     let result = durable::execute(&state, &djob, &inner.durable_cfg, start);
     state.done.store(true, Ordering::Relaxed);

@@ -24,21 +24,45 @@
 //! Every match counted in `removed`/`added` contains a changed edge, so
 //! instead of re-scanning the graph the maintainer enumerates only
 //! matches *through* changed edges: for each undirected pattern-edge
-//! orbit representative `(a, b)` (see
+//! orbit representative `r = (a, b)` (see
 //! [`tdfs_query::automorphism::edge_orbit_reps`]) it runs a **rooted
 //! plan** ([`tdfs_query::plan::QueryPlan::build_rooted`]) whose first
 //! two levels are pinned to `a, b`, seeded with both orientations of
 //! each changed data edge. Any match `m` that maps some pattern edge
 //! `{p, q}` onto a changed data edge has an automorphic image mapping
 //! the orbit representative of `{p, q}` onto that edge, so the sweep
-//! reaches every match class at least once. Rooted plans disable
-//! symmetry breaking (a symmetry constraint could discard exactly the
-//! orientation that passes through the changed edge), so the same class
-//! can surface several times — once per changed edge it contains, per
-//! orbit, per orientation. The `DedupSink` collapses those to one
-//! canonical representative per automorphism class, which makes the
-//! reported counts *subgraph* counts, the same unit the symmetry-broken
-//! engines and [`tdfs_core::reference_count`] report.
+//! reaches every match class. Rooted plans disable symmetry breaking (a
+//! symmetry constraint could discard exactly the orientation that
+//! passes through the changed edge), so a class can surface once per
+//! changed edge it contains, per orbit, per orientation.
+//!
+//! **Attribution** removes the repeats across changed edges. The batch
+//! side's changed edges are ranked in ascending endpoint order, and a
+//! pass anchored at changed edge `e` keeps a match only if no other
+//! pattern edge of the match lands on a changed edge ranked before `e`
+//! ([`tdfs_core::attribution::ChangedEdges::owns`], checked in the leaf
+//! predicate every engine shares). A class is then kept only where the
+//! pattern edge it maps onto its smallest changed edge `e*` is pinned
+//! onto `e*`: in the pass of that pattern edge's orbit representative
+//! `r`, once per automorphism mapping `r` onto it.
+//!
+//! **Division** removes the rest. That is `|Stab(r)| = |Aut| /
+//! |orbit(r)|` automorphisms (the stabilizer of the undirected edge
+//! `r`), so pass `r` counts each class it owns exactly `|Stab(r)|`
+//! times, and a side's distinct-match count is
+//!
+//! ```text
+//! Σ_r count_r / |Stab(r)|
+//! ```
+//!
+//! The counts are the durable run's, published once per shard by its
+//! epoch-fenced acks, so a reclaimed or re-leased shard never counts
+//! twice. A count-only subscription therefore runs plain engine counts:
+//! no sink, no shard buffer, no canonicalization and no set. Only a
+//! subscription that asked for embeddings feeds its passes into a
+//! `DedupSink`, which folds the `|Stab(r)|` images of each class (and
+//! the repeats of a reclaimed shard's emissions) into one canonical
+//! tuple; its distinct count equals the divided count.
 //!
 //! Deletions are counted against the pre-batch view (the matches being
 //! destroyed still exist there); insertions against the not-yet-
@@ -136,15 +160,24 @@ pub(crate) struct StandingQuery {
     pub(crate) report_embeddings: bool,
     /// The pattern's full automorphism group (canonicalization key).
     pub(crate) aut: Arc<Vec<Permutation>>,
-    /// One symmetry-free rooted plan per undirected pattern-edge orbit
-    /// representative; each pins its anchor edge to matching-order
-    /// positions 0 and 1, where the changed-edge seeds land.
-    pub(crate) plans: Vec<Arc<QueryPlan>>,
+    /// One pass per undirected pattern-edge orbit representative.
+    pub(crate) plans: Vec<RootedPlan>,
     /// Where deltas go.
     pub(crate) callback: Arc<NotifyFn>,
     /// Highest graph version already delivered: a delta at or below it
     /// is never delivered.
     pub(crate) last_version: AtomicU64,
+}
+
+/// One maintenance pass of a standing query: the symmetry-free plan
+/// rooted at an edge-orbit representative `r`, which pins `r` to
+/// matching-order positions 0 and 1, where the changed-edge seeds land.
+pub(crate) struct RootedPlan {
+    pub(crate) plan: Arc<QueryPlan>,
+    /// `|Stab(r)|`: the automorphisms mapping the undirected edge `r`
+    /// onto itself, which is how many times the pass counts each match
+    /// class it owns.
+    pub(crate) stabilizer: u64,
 }
 
 impl StandingQuery {
@@ -163,7 +196,13 @@ impl StandingQuery {
         let aut = Arc::new(automorphisms(&request.pattern));
         let plans = edge_orbit_reps(&request.pattern)
             .into_iter()
-            .map(|(a, b)| Arc::new(QueryPlan::build_rooted(&request.pattern, a, b, config.plan)))
+            .map(|(a, b)| RootedPlan {
+                plan: Arc::new(QueryPlan::build_rooted(&request.pattern, a, b, config.plan)),
+                stabilizer: aut
+                    .iter()
+                    .filter(|s| (s[a], s[b]) == (a, b) || (s[a], s[b]) == (b, a))
+                    .count() as u64,
+            })
             .collect();
         Self {
             graph: request.graph,
@@ -197,34 +236,26 @@ pub(crate) fn oriented_seeds(changed: &[(u32, u32)]) -> Vec<(u32, u32)> {
 pub(crate) type DeltaSide = (u64, Option<Vec<Vec<u32>>>);
 
 /// Canonicalizing match collector shared by every maintenance pass of
-/// one (standing query × batch side): anchored enumeration visits the
-/// same subgraph once per (changed edge it contains × orbit ×
-/// orientation), and this sink collapses the repeats to one canonical
-/// representative per automorphism class.
+/// one (standing query with embeddings × batch side). Under attribution
+/// a pass still reaches each class it owns once per automorphism in
+/// its anchor's stabilizer, and a reclaimed shard's emissions may
+/// arrive twice (emissions are at-least-once under lease reclaim races;
+/// see [`crate::durable`]); this sink collapses both kinds of repeat to
+/// one canonical representative per automorphism class. Count-only
+/// subscriptions never build one.
 ///
 /// Receives **pattern-vertex-indexed** assignments: the durable run
 /// remaps matching-order positions before it feeds a client sink.
-/// Insertion is idempotent, which keeps the count exact when a
-/// reclaimed shard's emissions arrive twice (emissions are
-/// at-least-once under lease reclaim races; see [`crate::durable`]).
 pub(crate) struct DedupSink {
     aut: Arc<Vec<Permutation>>,
-    inner: Mutex<DedupInner>,
-}
-
-struct DedupInner {
-    seen: HashSet<Vec<u32>>,
-    keep: Option<Vec<Vec<u32>>>,
+    seen: Mutex<HashSet<Vec<u32>>>,
 }
 
 impl DedupSink {
-    pub(crate) fn new(aut: Arc<Vec<Permutation>>, keep_embeddings: bool) -> Self {
+    pub(crate) fn new(aut: Arc<Vec<Permutation>>) -> Self {
         Self {
             aut,
-            inner: Mutex::new(DedupInner {
-                seen: HashSet::new(),
-                keep: keep_embeddings.then(Vec::new),
-            }),
+            seen: Mutex::new(HashSet::new()),
         }
     }
 
@@ -242,35 +273,26 @@ impl DedupSink {
         best.unwrap_or_else(|| m.to_vec())
     }
 
-    /// Distinct classes collected, plus the sorted embeddings when
-    /// tracked. Consumes the collected state.
-    pub(crate) fn take(&self) -> DeltaSide {
-        let mut g = self
-            .inner
+    /// The distinct classes collected, sorted. Consumes the collected
+    /// state.
+    pub(crate) fn take(&self) -> Vec<Vec<u32>> {
+        let mut seen = self
+            .seen
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let count = g.seen.len() as u64;
-        let embeddings = g.keep.take().map(|mut v| {
-            v.sort_unstable();
-            v
-        });
-        g.seen.clear();
-        (count, embeddings)
+        let mut classes: Vec<Vec<u32>> = seen.drain().collect();
+        classes.sort_unstable();
+        classes
     }
 }
 
 impl MatchSink for DedupSink {
     fn emit(&self, m: &[u32]) {
         let key = self.canonical(m);
-        let mut g = self
-            .inner
+        self.seen
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if g.seen.insert(key.clone()) {
-            if let Some(keep) = &mut g.keep {
-                keep.push(key);
-            }
-        }
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .insert(key);
     }
 }
 
@@ -283,7 +305,7 @@ mod tests {
         let tri = Pattern::clique(3);
         let aut = Arc::new(automorphisms(&tri));
         assert_eq!(aut.len(), 6);
-        let sink = DedupSink::new(aut, true);
+        let sink = DedupSink::new(aut);
         // All 6 images of the same data triangle {7, 8, 9} …
         for m in [
             [7u32, 8, 9],
@@ -297,10 +319,8 @@ mod tests {
         }
         // … plus a genuinely different one.
         sink.emit(&[9, 8, 10]);
-        let (count, embeddings) = sink.take();
-        assert_eq!(count, 2);
-        assert_eq!(embeddings.unwrap(), vec![vec![7, 8, 9], vec![8, 9, 10]]);
-        assert_eq!(sink.take().0, 0, "take drains");
+        assert_eq!(sink.take(), vec![vec![7, 8, 9], vec![8, 9, 10]]);
+        assert!(sink.take().is_empty(), "take drains");
     }
 
     #[test]
@@ -321,9 +341,15 @@ mod tests {
         assert_eq!(sq.plans.len(), 4, "house has four edge orbits");
         assert!(sq.config.time_limit.is_none());
         assert!(sq.config.cancel.is_none());
-        for plan in &sq.plans {
-            assert_eq!(plan.aut_size, 1, "rooted plans are symmetry-free");
+        for rooted in &sq.plans {
+            assert_eq!(rooted.plan.aut_size, 1, "rooted plans are symmetry-free");
         }
+        // The house's one non-trivial automorphism mirrors it across the
+        // axis through the roof: it reverses edges {0,1} and {2,3}, so
+        // those two orbits have stabilizers of 2, and it swaps the walls
+        // and the roof's sides, whose stabilizers are trivial.
+        let stabilizers: Vec<u64> = sq.plans.iter().map(|r| r.stabilizer).collect();
+        assert_eq!(stabilizers, vec![2, 1, 1, 2]);
         assert_eq!(
             sq.last_version.load(std::sync::atomic::Ordering::Relaxed),
             3

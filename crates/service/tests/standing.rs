@@ -4,6 +4,7 @@
 //! and the version machinery (snapshot resume fencing, plan-cache
 //! discrimination, compaction) must hold around them.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -13,7 +14,7 @@ use tdfs_core::{
 };
 use tdfs_graph::generators::barabasi_albert;
 use tdfs_graph::rng::Rng;
-use tdfs_graph::{DeltaCsr, EdgeBatch, GraphView};
+use tdfs_graph::{CsrGraph, DeltaCsr, EdgeBatch, GraphBuilder, GraphView};
 use tdfs_query::automorphism::automorphisms;
 use tdfs_query::plan::QueryPlan;
 use tdfs_query::{Pattern, PatternId};
@@ -189,6 +190,187 @@ fn reported_embeddings_are_the_exact_set_difference() {
         assert_eq!(added.len() as u64, d.added);
         assert_eq!(removed.len() as u64, d.removed);
     }
+}
+
+/// The match classes of `pattern` in `view`, each as its canonical
+/// embedding: a full rescan, on the symmetry-broken serial-free engine.
+fn classes(view: &DeltaCsr, pattern: &Pattern) -> BTreeSet<Vec<u32>> {
+    let aut = automorphisms(pattern);
+    let cfg = MatcherConfig::tdfs().with_warps(1);
+    let (_, ms) = find_matches(view, pattern, &cfg, usize::MAX).unwrap();
+    ms.iter().map(|m| canonical(&aut, m)).collect()
+}
+
+/// Registers one count-only standing query per pattern, under every
+/// engine of [`engines`], the hybrid engine (whose DFS phase resumes
+/// from BFS prefixes) and the materialized-leaf ablation of two of them,
+/// then applies `batches` in turn (each built from the current view)
+/// and checks every delta's `removed` and `added` against full rescans
+/// of both versions: the classes only the old version has, and those
+/// only the new one has.
+fn check_removed_and_added(
+    base: CsrGraph,
+    patterns: &[(&str, Pattern)],
+    mut batches: impl FnMut(&DeltaCsr, usize) -> Option<EdgeBatch>,
+) {
+    let mut configs = engines();
+    configs.extend([
+        ("hybrid", MatcherConfig::hybrid().with_warps(2)),
+        (
+            "tdfs_unfused",
+            MatcherConfig::tdfs().with_warps(2).with_fused_leaf(false),
+        ),
+        (
+            "stmatch_unfused",
+            MatcherConfig::stmatch_like()
+                .with_warps(2)
+                .with_fused_leaf(false),
+        ),
+    ]);
+    for (ename, cfg) in configs {
+        let svc = small_service();
+        svc.register_graph("g", Arc::new(base.clone()));
+        let seen: Vec<Arc<Mutex<Vec<MatchDelta>>>> = patterns
+            .iter()
+            .map(|(_, pattern)| {
+                let seen = Arc::new(Mutex::new(Vec::new()));
+                let sink = seen.clone();
+                let request = StandingRequest::new("g", pattern.clone()).with_config(cfg.clone());
+                svc.register_standing(request, move |d| sink.lock().unwrap().push(d.clone()))
+                    .unwrap();
+                seen
+            })
+            .collect();
+        let mut round = 0;
+        while let Some(batch) = batches(&svc.catalog().get("g").unwrap(), round) {
+            let pre = svc.catalog().get("g").unwrap();
+            let report = svc.apply("g", &batch).unwrap();
+            let post = svc.catalog().get("g").unwrap();
+            for ((pname, pattern), seen) in patterns.iter().zip(&seen) {
+                let (before, after) = (classes(&pre, pattern), classes(&post, pattern));
+                let deltas = seen.lock().unwrap();
+                let d = deltas.last().expect("one delta per batch");
+                assert_eq!(d.version, report.version);
+                let cell = format!("{ename}/{pname} round {round}");
+                assert_eq!(
+                    d.removed,
+                    before.difference(&after).count() as u64,
+                    "{cell}: removed"
+                );
+                assert_eq!(
+                    d.added,
+                    after.difference(&before).count() as u64,
+                    "{cell}: added"
+                );
+            }
+            round += 1;
+        }
+        svc.shutdown();
+    }
+}
+
+/// The patterns of the attribution cases: the house's four edge orbits
+/// have stabilizers of sizes 2, 1, 1 and 2.
+fn hard_case_patterns() -> Vec<(&'static str, Pattern)> {
+    vec![
+        ("k3", Pattern::clique(3)),
+        ("c4", Pattern::cycle(4)),
+        ("k4", PatternId(2).pattern()),
+        ("diamond", PatternId(1).pattern()),
+        ("house", house()),
+    ]
+}
+
+/// BA(120, 4) with ten more vertices, isolated.
+fn base_with_room() -> CsrGraph {
+    let base = barabasi_albert(120, 4, 7);
+    GraphBuilder::new()
+        .num_vertices(130)
+        .edges(base.arcs().filter(|&(u, v)| u < v))
+        .build()
+}
+
+/// One batch inserts every edge of a new K4 and of a new house, tied to
+/// the old graph by a few more inserted edges, and the next deletes
+/// them all again: single matches hold up to six changed edges, on the
+/// added side and then on the removed side.
+#[test]
+fn matches_holding_many_changed_edges_count_once() {
+    let k4: Vec<(u32, u32)> = vec![
+        (120, 121),
+        (120, 122),
+        (120, 123),
+        (121, 122),
+        (121, 123),
+        (122, 123),
+    ];
+    let house: Vec<(u32, u32)> = vec![
+        (124, 125),
+        (125, 126),
+        (126, 127),
+        (127, 124),
+        (124, 128),
+        (125, 128),
+    ];
+    let ties: Vec<(u32, u32)> = vec![(120, 0), (121, 0), (124, 1), (125, 1), (128, 2)];
+    let new: Vec<(u32, u32)> = k4.iter().chain(&house).chain(&ties).copied().collect();
+    check_removed_and_added(
+        base_with_room(),
+        &hard_case_patterns(),
+        |_, round| match round {
+            0 => Some(EdgeBatch::inserting(new.iter().copied())),
+            1 => Some(EdgeBatch::deleting(new.iter().copied())),
+            _ => None,
+        },
+    );
+}
+
+/// One batch deletes two opposite edges of a 4-cycle and inserts a chord
+/// of it: the removed side loses cycles and triangles through either
+/// deleted edge, and the added side gains triangles and diamonds through
+/// the chord next to them.
+#[test]
+fn a_batch_that_breaks_a_cycle_and_adds_its_chord_is_exact() {
+    let base = barabasi_albert(120, 4, 7);
+    // A 4-cycle a-b-c-d whose chord {a, c} is missing.
+    let cycle = (0..120u32)
+        .flat_map(|a| {
+            let base = &base;
+            base.neighbors(a).iter().flat_map(move |&b| {
+                base.neighbors(b).iter().flat_map(move |&c| {
+                    base.neighbors(c).iter().map(move |&d| (a, b, c, d)).filter(
+                        move |&(a, b, c, d)| {
+                            a != c && b != d && base.has_edge(d, a) && !base.has_edge(a, c)
+                        },
+                    )
+                })
+            })
+        })
+        .next()
+        .expect("BA(120, 4) has a chordless 4-cycle");
+    let (a, b, c, d) = cycle;
+    check_removed_and_added(base, &hard_case_patterns(), |_, round| {
+        (round == 0).then(|| EdgeBatch::new().delete(a, b).delete(c, d).insert(a, c))
+    });
+}
+
+/// The house under random batches, whose matches mix inserted, deleted
+/// and unchanged edges across all four of its edge orbits.
+#[test]
+fn house_deltas_under_random_batches_are_exact() {
+    let mut rng = Rng::seed_from_u64(0x40_05E);
+    let mut schedule = Vec::new();
+    let mut view = DeltaCsr::from_base(Arc::new(barabasi_albert(120, 4, 9)));
+    for _ in 0..4 {
+        let batch = random_batch(&view, &mut rng, 14, 8);
+        view = view.apply(&batch).unwrap().0;
+        schedule.push(batch);
+    }
+    check_removed_and_added(
+        barabasi_albert(120, 4, 9),
+        &[("house", house())],
+        |_, round| schedule.get(round).cloned(),
+    );
 }
 
 /// A snapshot taken at one graph version must not resume against
