@@ -24,7 +24,7 @@ use tdfs_gpu::warp::{IntersectKind, WarpOps};
 use tdfs_graph::generators::{barabasi_albert, rmat};
 use tdfs_graph::io::{read_edge_list_file, write_edge_list_file};
 use tdfs_graph::rng::Rng;
-use tdfs_graph::{write_container_file, DeltaCsr, EdgeBatch, GraphView};
+use tdfs_graph::{write_container_file, CsrGraph, DatasetId, DeltaCsr, EdgeBatch, GraphView};
 use tdfs_graph::{MapOptions, MmapGraph, Verify};
 use tdfs_mem::{ArrayLevel, LevelStore, OverflowPolicy, PageArena, PagedLevel};
 use tdfs_query::plan::QueryPlan;
@@ -299,7 +299,8 @@ fn bench_stacks(ledger: &mut Ledger) {
     });
 }
 
-/// Engine layer: the fused leaf against the materialized last level.
+/// Engine layer: the fused leaf against the materialized last level,
+/// and the lane probes of one-warp counts.
 fn engine(ledger: &mut Ledger) {
     // Clique counting on a scale-free graph is leaf-dominated: the fused
     // leaf consumes the deepest-level candidates in the lanes instead of
@@ -321,6 +322,80 @@ fn engine(ledger: &mut Ledger) {
             ledger.row(&cell, &format!("{mode}_stack_bytes_peak"), "bytes", peak);
         }
     }
+
+    // Lane probes of one-warp, τ = ∞ counts repeat exactly on any host.
+    // Each bound sits just above what this tree probes with each walk's
+    // first operand cut to its level's symmetry interval, so a change
+    // that gives up a cut fails the full tier.
+    let cfg = MatcherConfig::tdfs().with_warps(1).with_tau(None);
+    let youtube = DatasetId::YoutubeS.generate(1.0);
+    for (id, bound) in PROBES_YOUTUBE {
+        let p = PatternId(id).pattern();
+        let r = match_pattern(&youtube, &p, &cfg).unwrap();
+        let cell = format!("probes/youtube_s/P{id}");
+        let probed = r.stats.warp.elements_probed as f64;
+        ledger
+            .row(&cell, "elements_probed", "count", probed)
+            .below(bound);
+    }
+    let base = Arc::new(barabasi_albert(3000, 6, 13));
+    let mut view = DeltaCsr::from_base(base.clone());
+    for batch in churn_batches(&base, &mut Rng::seed_from_u64(1), CHURN_WINDOW) {
+        view = view.apply(&EdgeBatch::inserting(batch)).unwrap().0;
+    }
+    for (name, p, bound) in [
+        ("k3", Pattern::clique(3), PROBES_CHURN[0]),
+        ("c4", Pattern::cycle(4), PROBES_CHURN[1]),
+    ] {
+        let r = match_pattern(&view, &p, &cfg).unwrap();
+        let cell = format!("probes/churn_view/{name}");
+        let probed = r.stats.warp.elements_probed as f64;
+        ledger
+            .row(&cell, "elements_probed", "count", probed)
+            .below(bound);
+    }
+}
+
+/// `(pattern, bound)`: one-warp lane probes on `youtube_s`, each bound
+/// about 0.5 % above this tree's count (136,490, 1,021,869, 283,807 and
+/// 197,457; without the cuts 171,467, 1,686,971, 447,798 and 415,446).
+const PROBES_YOUTUBE: [(u8, f64); 4] = [
+    (1, 137_200.0),
+    (4, 1_027_000.0),
+    (5, 285_300.0),
+    (10, 198_500.0),
+];
+/// Bounds on one-warp lane probes of K3 and the 4-cycle on the churn
+/// view: this tree probes 100,207 and 1,502,843 (214,530 and 2,585,146
+/// without the cuts).
+const PROBES_CHURN: [f64; 2] = [100_800.0, 1_510_000.0];
+
+/// Inserted batches a churn view holds: the delete window of
+/// perfbench's `standing_churn`.
+const CHURN_WINDOW: usize = 8;
+/// Edges per churn batch.
+const CHURN_BATCH: usize = 40;
+
+/// `count` batches of `CHURN_BATCH` new edges of `base`, each between
+/// two endpoints drawn by degree (the sources of uniform arcs), the
+/// batches `standing_churn` inserts.
+fn churn_batches(base: &CsrGraph, rng: &mut Rng, count: usize) -> Vec<Vec<(u32, u32)>> {
+    let mut live: std::collections::HashSet<(u32, u32)> =
+        base.arcs().filter(|&(u, v)| u < v).collect();
+    (0..count)
+        .map(|_| {
+            let mut batch = Vec::with_capacity(CHURN_BATCH);
+            while batch.len() < CHURN_BATCH {
+                let (u, _) = base.arc(rng.gen_range(0..base.num_arcs()));
+                let (v, _) = base.arc(rng.gen_range(0..base.num_arcs()));
+                let e = (u.min(v), u.max(v));
+                if u != v && live.insert(e) {
+                    batch.push(e);
+                }
+            }
+            batch
+        })
+        .collect()
 }
 
 /// Hard bound: incremental maintenance at <= 1% churn must beat a full
@@ -347,7 +422,8 @@ fn sample_edges(view: &DeltaCsr, rng: &mut Rng, count: usize) -> Vec<(u32, u32)>
 
 /// Dynamic layer: incremental standing-query deltas versus a full
 /// rescan of the mutated graph, across churn rates, a 4-cycle
-/// subscriber's maintenance count-only against with embeddings, plus
+/// subscriber's maintenance count-only against with embeddings, an
+/// apply under a K3 and a 4-cycle subscriber on a churn view, plus
 /// raw `DeltaCsr` apply/compact throughput. The incremental path must
 /// win by >= 5x at 1% churn — the whole point of delta-anchored
 /// maintenance is that work scales with the batch, not the graph.
@@ -460,6 +536,37 @@ fn dynamic(ledger: &mut Ledger) {
     ledger.row(cell, "embeddings_over_count", "ratio", embed_ns / count_ns);
     count_only.shutdown();
     embedding.shutdown();
+
+    // One churn-sized batch applied, then deleted again, under a K3 and a
+    // 4-cycle subscriber, on a view that holds a delete window of
+    // earlier batches: the write path of perfbench's `standing_churn`.
+    let churn = Service::new(ServiceConfig {
+        workers: 2,
+        queue_capacity: 32,
+        plan_cache_capacity: 16,
+        ..ServiceConfig::default()
+    });
+    churn.register_graph("ba", base.clone());
+    for pattern in [Pattern::clique(3), Pattern::cycle(4)] {
+        let request =
+            StandingRequest::new("ba", pattern).with_config(MatcherConfig::tdfs().with_warps(2));
+        churn.register_standing(request, |_| {}).unwrap();
+    }
+    let mut batches = churn_batches(&base, &mut rng, CHURN_WINDOW + 1);
+    let timed = batches.pop().expect("one batch past the window");
+    for batch in batches {
+        churn.apply("ba", &EdgeBatch::inserting(batch)).unwrap();
+    }
+    let fwd = EdgeBatch::inserting(timed.iter().copied());
+    let bwd = EdgeBatch::deleting(timed.iter().copied());
+    let apply_ns = ledger.measure(|| {
+        churn.apply("ba", &fwd).unwrap();
+        churn.apply("ba", &bwd).unwrap();
+    }) / 2.0;
+    let cell = "delta/churn_k3_c4";
+    ledger.row(cell, "batch_edges", "count", CHURN_BATCH as f64);
+    ledger.row(cell, "apply_ns", "ns", apply_ns);
+    churn.shutdown();
 
     // Raw structural throughput, no service in the loop: cost of the
     // copy-on-write apply itself, and of folding the overlay back into

@@ -11,10 +11,13 @@
 //! edge of the match lands on a changed edge that ranks below `e`. Each
 //! match class then survives only in the passes anchored at its
 //! smallest changed edge `e*`: in the pass of the representative `r`
-//! whose orbit holds the pattern edge mapped onto `e*`, once per
-//! automorphism that maps `r` onto that pattern edge, which is
-//! `|Stab(r)| = |Aut| / |orbit(r)|` times. So a side's distinct-match
-//! count is `Σ_r count_r / |Stab(r)|`.
+//! whose orbit holds the pattern edge mapped onto `e*`, by the
+//! embeddings that map `r` onto `e*`. Those differ by an element of
+//! `Stab(r)`, and the rooted plan's symmetry constraints break `Stab(r)`
+//! ([`QueryPlan::build_rooted`]), keeping exactly one of them. `owns`
+//! reads only the match's data edges, which all of them share, so it
+//! never tells them apart, and a side's distinct-match count is the
+//! plain sum of its passes' counts.
 //!
 //! The check runs at the leaf, in the `keep` hook of the engines'
 //! shared Eq. (1) walk (and at the materialized leaf of the ablation

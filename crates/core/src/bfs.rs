@@ -20,7 +20,7 @@ use tdfs_graph::GraphView;
 use tdfs_query::plan::QueryPlan;
 
 use crate::attribution::ChangedEdges;
-use crate::candidates::{accept, walk, Workspace};
+use crate::candidates::{accept, walk, Interval, Operands, Workspace};
 use crate::config::MatcherConfig;
 use crate::engine::{EngineError, InitialSource};
 use crate::sink::MatchSink;
@@ -163,10 +163,11 @@ pub(crate) fn upper_bound<V: GraphView>(g: &V, plan: &QueryPlan, m: &[u32]) -> u
 }
 
 /// Walks Eq. (1) for the position after the partial `m` from scratch
-/// (BFS keeps no stored levels to seed from) and hands each candidate
-/// that passes the full consumption predicate to `emit`, in ascending
-/// order. At the leaf, `changed` (a maintenance pass's attribution
-/// order) also drops every match the pass does not own.
+/// (BFS keeps no stored levels to seed from), inside the position's
+/// symmetry interval, and hands each candidate that passes the full
+/// consumption predicate to `emit`, in ascending order. At the leaf,
+/// `changed` (a maintenance pass's attribution order) also drops every
+/// match the pass does not own.
 pub(crate) fn extend<V: GraphView>(
     g: &V,
     plan: &QueryPlan,
@@ -179,7 +180,8 @@ pub(crate) fn extend<V: GraphView>(
     let changed = changed.filter(|_| level + 1 == plan.k());
     let keep =
         |v: u32| accept(g, plan, level, v, m, true) && changed.is_none_or(|c| c.owns(plan, m, v));
-    walk(g, m, None, &plan.levels[level].backward, ws, keep, emit);
+    let ops = Operands::rows(&plan.levels[level].backward, Interval::of(plan, level, m));
+    walk(g, m, ops, ws, keep, emit);
 }
 
 /// Runs one batch pass across `cfg.num_warps` workers, extending each

@@ -3,14 +3,29 @@
 //!
 //! Every engine computes `C_S(u_level) = ⋂_{u_j ∈ B^π(u_level)} N(S[u_j])`
 //! through the one `walk`, on the warp's 32-lane intersection kernel.
-//! [`fill_level`] keeps every candidate and stores it in
-//! `stack[level]`, seeding from a stored ancestor level when the reuse
-//! plan allows (paper Fig. 7). Levels store the **raw** intersection;
-//! the label, degree, injectivity and symmetry predicates are evaluated
-//! by [`accept`] when a candidate is consumed, which keeps reuse
+//! [`fill_level`] stores the candidates in `stack[level]`, seeding from a
+//! stored ancestor level when the reuse plan allows (paper Fig. 7). The
+//! label, degree, injectivity and symmetry predicates are evaluated by
+//! [`accept`] when a candidate is consumed, which keeps reuse
 //! unconditionally sound (DESIGN.md §4). The fused leaf (`count_leaf`)
 //! folds `accept` into the walk's last intersection instead, and the
 //! BFS engines walk from scratch, with no stored level to seed from.
+//!
+//! A level's symmetry constraints leave its candidates one open interval
+//! of ids, `(max m[greater_than], min m[less_than])`. A walk whose result
+//! no later level reads cuts its first operand (each seed chunk, or else
+//! its smallest row) to that interval, with one `partition_point` per
+//! bounded side, so the lanes never probe what `accept` would drop: the
+//! fused leaf, the BFS walk, and `fill_level` of a level that is neither
+//! a reuse source ([`tdfs_query::plan::LevelPlan::reused`]) nor the
+//! materialized leaf. Every later intersection is driven by what the cut
+//! left, so the larger rows stay whole: their lanes only ever test ids
+//! inside the interval, and a search on a long row costs more than it
+//! saves (cutting them too made one-warp P9 on youtube_s 3 % slower
+//! instead of 5 % faster). A reuse source stays whole because its
+//! reader's interval differs, and the leaf that the `fused_leaf = false`
+//! ablation materializes stays whole so that the ablation keeps
+//! measuring what fusing the leaf saves.
 
 use tdfs_gpu::warp::WarpOps;
 use tdfs_graph::{GraphView, VertexId};
@@ -141,25 +156,100 @@ pub fn separate_injectivity_pass<L: LevelStore>(
     err.map_or(Ok(()), Err)
 }
 
+/// The open interval of ids a level's symmetry constraints leave its
+/// candidates: above the largest of `m[greater_than]` and below the
+/// smallest of `m[less_than]`, each side bounded only when the level has
+/// constraints on it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Interval {
+    /// Every candidate exceeds this, when bounded.
+    above: Option<u32>,
+    /// Every candidate is below this, when bounded.
+    below: Option<u32>,
+}
+
+impl Interval {
+    /// No bound on either side: a walk that keeps its whole rows.
+    pub(crate) const ALL: Self = Self {
+        above: None,
+        below: None,
+    };
+
+    /// Level `level`'s interval under the partial match `m[..level]`.
+    #[inline]
+    pub(crate) fn of(plan: &QueryPlan, level: usize, m: &[u32]) -> Self {
+        let lvl = &plan.levels[level];
+        Self {
+            above: lvl.greater_than.iter().map(|&j| m[j]).max(),
+            below: lvl.less_than.iter().map(|&j| m[j]).min(),
+        }
+    }
+
+    /// Whether both sides are bounded and no id lies between them.
+    #[inline]
+    fn is_empty(self) -> bool {
+        matches!((self.above, self.below), (Some(lo), Some(hi)) if lo.saturating_add(1) >= hi)
+    }
+
+    /// The part of the sorted `row` inside the interval.
+    #[inline]
+    fn cut(self, mut row: &[u32]) -> &[u32] {
+        if let Some(lo) = self.above {
+            row = &row[row.partition_point(|&x| x <= lo)..];
+        }
+        if let Some(hi) = self.below {
+            row = &row[..row.partition_point(|&x| x < hi)];
+        }
+        row
+    }
+}
+
+/// What one walk intersects: a stored ancestor level to seed from, if
+/// any, the positions whose rows fold in, and the interval its first
+/// operand is cut to.
+#[derive(Clone, Copy)]
+pub(crate) struct Operands<'a> {
+    seed: Option<&'a dyn LevelStore>,
+    rows: &'a [usize],
+    bounds: Interval,
+}
+
+impl<'a> Operands<'a> {
+    /// A walk from scratch over the rows of `rows`, cut to `bounds`.
+    pub(crate) fn rows(rows: &'a [usize], bounds: Interval) -> Self {
+        Self {
+            seed: None,
+            rows,
+            bounds,
+        }
+    }
+}
+
 /// The one Eq. (1) walk: intersects the rows `N(m[j])` of the positions
-/// `operands`, seeded by `seed` (a stored ancestor level) when there is
-/// one and by the smallest row otherwise, and folds in the remaining
-/// rows smallest-degree first. The last intersection applies `keep` in
-/// the lanes and hands each survivor to `emit`, in ascending order;
-/// intermediate results keep everything. An empty intermediate ends the
-/// walk, since the result can only be empty.
+/// `ops.rows`, seeded by `ops.seed` (a stored ancestor level) when there
+/// is one and by the smallest row otherwise, and folds in the remaining
+/// rows smallest-degree first. The seed's chunks, or the smallest row,
+/// are first cut to `ops.bounds`, which every later intersection then
+/// inherits, and an empty interval ends the walk before it starts.
+/// The last intersection applies `keep` in the lanes and hands each
+/// survivor to `emit`, in ascending order; intermediate results keep
+/// everything. An empty intermediate ends the walk, since the result can
+/// only be empty.
 ///
 /// `keep` and `emit` are statically dispatched; only the seed's chunks
 /// go through [`LevelStore::for_each_chunk`].
 pub(crate) fn walk<V: GraphView>(
     g: &V,
     m: &[u32],
-    seed: Option<&dyn LevelStore>,
-    operands: &[usize],
+    ops: Operands<'_>,
     ws: &mut Workspace,
     mut keep: impl FnMut(u32) -> bool,
     mut emit: impl FnMut(u32),
 ) {
+    let Operands { seed, rows, bounds } = ops;
+    if bounds.is_empty() {
+        return;
+    }
     let Workspace {
         warp,
         ct_index,
@@ -169,36 +259,38 @@ pub(crate) fn walk<V: GraphView>(
         ..
     } = ws;
     if *ct_index {
-        warp.charge_indirections(CT_INDEX_INDIRECTIONS * operands.len() as u64);
+        warp.charge_indirections(CT_INDEX_INDIRECTIONS * rows.len() as u64);
     }
     operand_ids.clear();
-    operand_ids.extend(operands.iter().map(|&j| m[j]));
+    operand_ids.extend(rows.iter().map(|&j| m[j]));
     operand_ids.sort_unstable_by_key(|&v| g.degree(v));
+    let first = |v: u32| bounds.cut(g.neighbors(v));
     // The first intersection, straight to `emit` when it is also the
     // last, else into `scratch_a` with the rows still to fold.
     let rest = match (seed, &operand_ids[..]) {
         (Some(source), []) => {
-            source.for_each_chunk(&mut |c| warp.filter(c, &mut keep, &mut emit));
+            source.for_each_chunk(&mut |c| warp.filter(bounds.cut(c), &mut keep, &mut emit));
             return;
         }
         (Some(source), [only]) => {
             let row = g.neighbors(*only);
-            source.for_each_chunk(&mut |c| warp.intersect_filtered(c, row, &mut keep, &mut emit));
+            source.for_each_chunk(&mut |c| {
+                warp.intersect_filtered(bounds.cut(c), row, &mut keep, &mut emit)
+            });
             return;
         }
-        (Some(source), [first, rest @ ..]) => {
-            let row = g.neighbors(*first);
+        (Some(source), [next, rest @ ..]) => {
+            let row = g.neighbors(*next);
             scratch_a.clear();
-            source.for_each_chunk(&mut |c| warp.intersect(c, row, |x| scratch_a.push(x)));
+            source
+                .for_each_chunk(&mut |c| warp.intersect(bounds.cut(c), row, |x| scratch_a.push(x)));
             rest
         }
-        (None, [only]) => return warp.filter(g.neighbors(*only), keep, emit),
-        (None, [a, b]) => {
-            return warp.intersect_filtered(g.neighbors(*a), g.neighbors(*b), keep, emit)
-        }
+        (None, [only]) => return warp.filter(first(*only), keep, emit),
+        (None, [a, b]) => return warp.intersect_filtered(first(*a), g.neighbors(*b), keep, emit),
         (None, [a, b, rest @ ..]) => {
             scratch_a.clear();
-            warp.intersect(g.neighbors(*a), g.neighbors(*b), |x| scratch_a.push(x));
+            warp.intersect(first(*a), g.neighbors(*b), |x| scratch_a.push(x));
             rest
         }
         (None, []) => unreachable!("every level past the first edge has a backward neighbor"),
@@ -215,28 +307,42 @@ pub(crate) fn walk<V: GraphView>(
     warp.intersect_filtered(scratch_a, g.neighbors(*last), keep, emit);
 }
 
-/// The seed and the fold operands of `level`'s walk: the stored reuse
-/// source with the positions it leaves, or no seed and the whole
-/// backward set. `valid_from` is the shallowest stack level filled by
-/// the *current* task: a reuse source below it is stale (the task prefix
-/// came from `Q_task`, a steal, or a child-kernel dispatch, not from
-/// this warp's own descent), so the walk starts from scratch instead.
+/// The operands of `level`'s walk: the stored reuse source with the
+/// positions it leaves, or no seed and the whole backward set, cut to
+/// the level's interval when `cut` is set. `valid_from` is the
+/// shallowest stack level filled by the *current* task: a reuse source
+/// below it is stale (the task prefix came from `Q_task`, a steal, or a
+/// child-kernel dispatch, not from this warp's own descent), so the walk
+/// starts from scratch instead.
 fn operands<'a, L: LevelStore>(
     plan: &'a QueryPlan,
     level: usize,
+    m: &[u32],
     stack: &'a [L],
     valid_from: usize,
-) -> (Option<&'a dyn LevelStore>, &'a [usize]) {
+    cut: bool,
+) -> Operands<'a> {
     let lvl = &plan.levels[level];
+    let bounds = if cut {
+        Interval::of(plan, level, m)
+    } else {
+        Interval::ALL
+    };
     match lvl.reuse.as_ref().filter(|s| s.source >= valid_from) {
-        Some(step) => (Some(&stack[step.source]), &step.remaining),
-        None => (None, &lvl.backward),
+        Some(step) => Operands {
+            seed: Some(&stack[step.source]),
+            rows: &step.remaining,
+            bounds,
+        },
+        None => Operands::rows(&lvl.backward, bounds),
     }
 }
 
 /// Fills `stack[level]` with the Eq. (1) candidates for the partial
 /// match `m[..level]`, then runs the [`separate_injectivity_pass`] when
-/// the workspace asks for one.
+/// the workspace asks for one. A level that no later level reuses, short
+/// of the leaf, is cut to its symmetry interval; a reuse source and the
+/// leaf store the whole intersection.
 ///
 /// `stack` must contain all `k` levels; `level ≥ 2` (positions 0 and 1
 /// come from the initial edge task). `valid_from` is as in
@@ -254,17 +360,10 @@ pub fn fill_level<V: GraphView, L: LevelStore>(
     let (head, tail) = stack.split_at_mut(level);
     let dest = &mut tail[0];
     dest.clear();
-    let (seed, operands) = operands(plan, level, head, valid_from);
+    let cut = !plan.levels[level].reused && level + 1 < plan.k();
+    let ops = operands(plan, level, m, head, valid_from, cut);
     let mut err = None;
-    walk(
-        g,
-        m,
-        seed,
-        operands,
-        ws,
-        |_| true,
-        |x| push_latched(dest, x, &mut err),
-    );
+    walk(g, m, ops, ws, |_| true, |x| push_latched(dest, x, &mut err));
     err.map_or(Ok(()), Err)?;
     if ws.separate_injectivity {
         separate_injectivity_pass(dest, &m[..level], ws)?;
@@ -272,7 +371,8 @@ pub fn fill_level<V: GraphView, L: LevelStore>(
     Ok(())
 }
 
-/// Computes the leaf level's Eq. (1) candidates and consumes them in
+/// Computes the leaf level's Eq. (1) candidates inside its symmetry
+/// interval and consumes them in
 /// place: instead of materializing `stack[k-1]`, the final intersection
 /// runs with the full consumption predicate folded into the lanes
 /// ([`WarpOps::intersect_filtered`]) and hands each surviving candidate
@@ -301,10 +401,10 @@ fn fuse_leaf_level<V: GraphView, L: LevelStore>(
     on_match: impl FnMut(u32),
 ) {
     let leaf = plan.k() - 1;
-    let (seed, operands) = operands(plan, leaf, stack, valid_from);
+    let ops = operands(plan, leaf, m, stack, valid_from, true);
     let keep =
         |v: u32| accept(g, plan, leaf, v, m, true) && changed.is_none_or(|c| c.owns(plan, m, v));
-    walk(g, m, seed, operands, ws, keep, on_match);
+    walk(g, m, ops, ws, keep, on_match);
 }
 
 /// Runs the fused leaf for the full prefix `m[..k-1]` and returns how
@@ -346,8 +446,10 @@ pub(crate) fn count_leaf<V: GraphView, L: LevelStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use tdfs_graph::rng::Rng;
     use tdfs_graph::{CsrGraph, GraphBuilder};
-    use tdfs_mem::{ArrayLevel, OverflowPolicy};
+    use tdfs_mem::{ArrayLevel, OverflowPolicy, PageArena, PagedLevel};
     use tdfs_query::plan::{PlanOptions, QueryPlan};
     use tdfs_query::PatternId;
 
@@ -532,6 +634,87 @@ mod tests {
         let mut got = Vec::new();
         fuse_leaf_level(&g, &plan, &m, head, &mut ws, 2, None, |v| got.push(v));
         assert_eq!(got, vec![3, 4]);
+    }
+
+    /// Random sorted rows over 6,000 vertices: vertex 0 is a hub next to
+    /// about two thirds of them, vertices 5,000 and up have empty rows,
+    /// and the rest hold a few random neighbors each.
+    fn hub_and_empty_rows(rng: &mut Rng) -> CsrGraph {
+        let mut b = GraphBuilder::new().num_vertices(6000);
+        for v in 1..5000u32 {
+            if rng.gen_range(0..3) != 0 {
+                b.push_edge(0, v);
+            }
+            for _ in 0..rng.gen_range(0..6) {
+                let w = rng.gen_range_u32(1..5000);
+                if w != v {
+                    b.push_edge(v, w);
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn a_bounded_walk_is_the_whole_walk_filtered_to_its_interval() {
+        let mut rng = Rng::seed_from_u64(0x1d7e);
+        let g = hub_and_empty_rows(&mut rng);
+        let arena = Arc::new(PageArena::new(8));
+        let mut ws = Workspace::new();
+        let vertex = |rng: &mut Rng| match rng.gen_range(0..6) {
+            0 => 0,                             // the hub
+            1 => rng.gen_range_u32(5000..6000), // an empty row
+            _ => rng.gen_range_u32(1..5000),
+        };
+        let bound = |rng: &mut Rng| match rng.gen_range(0..6) {
+            0 => None,
+            1 => Some(0),
+            2 => Some(5999),
+            3 => Some(6000),
+            _ => Some(rng.gen_range_u32(0..6000)),
+        };
+        // Walks seen with no bound, one, two, and an empty interval.
+        let mut seen = [0usize; 4];
+        for trial in 0..3000 {
+            let m: Vec<u32> = (0..4).map(|_| vertex(&mut rng)).collect();
+            let rows: Vec<usize> = (0..4).filter(|_| rng.gen_range(0..2) == 0).collect();
+            // A stored seed: a row (the hub's spans two pages), or a
+            // random sorted set over three pages.
+            let seed_ids: Option<Vec<u32>> = match rng.gen_range(0..4) {
+                0 => Some(g.neighbors(m[0]).to_vec()),
+                1 => Some((0..6000).filter(|_| rng.gen_range(0..5) != 0).collect()),
+                _ => None,
+            };
+            if rows.is_empty() && seed_ids.is_none() {
+                continue;
+            }
+            let mut seed = PagedLevel::new(arena.clone());
+            for &v in seed_ids.iter().flatten() {
+                seed.push(v).unwrap();
+            }
+            let bounds = Interval {
+                above: bound(&mut rng),
+                below: bound(&mut rng),
+            };
+            let inside = |v: u32| {
+                bounds.above.is_none_or(|lo| lo < v) && bounds.below.is_none_or(|hi| v < hi)
+            };
+            seen[usize::from(bounds.above.is_some()) + usize::from(bounds.below.is_some())] += 1;
+            seen[3] += usize::from(bounds.is_empty());
+            let ops = |bounds| Operands {
+                seed: seed_ids.as_ref().map(|_| &seed as &dyn LevelStore),
+                rows: &rows,
+                bounds,
+            };
+            let keep = |v: u32| v % 7 != 3;
+            let mut whole = Vec::new();
+            walk(&g, &m, ops(Interval::ALL), &mut ws, keep, |v| whole.push(v));
+            let mut cut = Vec::new();
+            walk(&g, &m, ops(bounds), &mut ws, keep, |v| cut.push(v));
+            whole.retain(|&v| inside(v));
+            assert_eq!(cut, whole, "trial {trial}: {m:?} rows {rows:?} {bounds:?}");
+        }
+        assert!(seen.iter().all(|&n| n > 40), "{seen:?}");
     }
 
     #[test]

@@ -207,37 +207,10 @@ impl InitialSource {
         }
     }
 
-    /// Loads task `i`'s prefix into `m` and returns its length, or
-    /// `None` when the edge filter rejects arc `i` (counted in `stats`).
-    /// `cursor` is the warp's place in the arc stream, so consecutive
-    /// arcs of a chunk cost no search.
-    pub(crate) fn seed<V: GraphView>(
-        &self,
-        g: &V,
-        plan: &QueryPlan,
-        i: usize,
-        m: &mut [u32],
-        stats: &mut RunStats,
-        cursor: &mut ArcCursor,
-    ) -> Option<usize> {
-        let (v1, v2) = match self {
-            Self::Arcs => Some(cursor.arc(g, i)).filter(|&arc| admit(g, plan, arc, stats))?,
-            Self::Edges(edges)
-            | Self::Anchored { edges, .. }
-            | Self::HostFiltered { edges, .. } => edges[i],
-            Self::Partials { data, stride, .. } => {
-                m[..*stride].copy_from_slice(&data[i * stride..(i + 1) * stride]);
-                return Some(*stride);
-            }
-        };
-        m[0] = v1;
-        m[1] = v2;
-        Some(2)
-    }
-
     /// Every initial task as one flat frontier, with its stride — the
-    /// first level of the BFS engines. Arcs the edge filter rejects are
-    /// counted in `stats`.
+    /// first level of the BFS engines. The arc stream goes through the
+    /// host filter's list, and the arcs it leaves out are counted in
+    /// `stats` as the in-warp filter would count them.
     pub(crate) fn frontier<V: GraphView>(
         &self,
         g: &V,
@@ -245,11 +218,12 @@ impl InitialSource {
         stats: &mut RunStats,
     ) -> (Vec<u32>, usize) {
         let frontier = match self {
-            Self::Arcs => g
-                .arcs()
-                .filter(|&arc| admit(g, plan, arc, stats))
-                .flat_map(|(v1, v2)| [v1, v2])
-                .collect(),
+            Self::Arcs => {
+                let edges = host_filter_edges(g, plan);
+                stats.edges_admitted += edges.len() as u64;
+                stats.edges_filtered += (g.num_arcs() - edges.len()) as u64;
+                edges.iter().flat_map(|&(v1, v2)| [v1, v2]).collect()
+            }
             Self::Edges(edges)
             | Self::Anchored { edges, .. }
             | Self::HostFiltered { edges, .. } => {
@@ -280,22 +254,6 @@ impl InitialSource {
             }
         }
     }
-}
-
-/// The in-warp edge filter on one arc, counted in `stats`.
-fn admit<V: GraphView>(
-    g: &V,
-    plan: &QueryPlan,
-    (v1, v2): (u32, u32),
-    stats: &mut RunStats,
-) -> bool {
-    let admitted = edge_admitted(g, plan, v1, v2);
-    if admitted {
-        stats.edges_admitted += 1;
-    } else {
-        stats.edges_filtered += 1;
-    }
-    admitted
 }
 
 /// A warp's place in the arc stream: the row holding the last arc it
@@ -377,41 +335,90 @@ fn vertex_admitted<V: GraphView>(g: &V, plan: &QueryPlan, level: usize, v: u32) 
     g.degree(v) >= l.degree && g.label(v) == l.label
 }
 
+/// The edge filter with its vertex tests settled: one pass over the
+/// vertices records, in one byte each, whether a vertex passes plan
+/// level 0's and level 1's degree and label tests, so filtering an arc
+/// reads one byte per endpoint. The host filter builds one per call and
+/// a run over the arc stream one per run, in time that counts in the
+/// run's `elapsed`; both admit exactly the arcs [`edge_admitted`] admits.
+pub(crate) struct EdgeFilter {
+    /// Per vertex: [`Self::LEVEL0`] and [`Self::LEVEL1`] when it passes
+    /// that level's tests.
+    bytes: Vec<u8>,
+    /// Position 1 must exceed position 0 (the symmetry constraint).
+    above: bool,
+    /// Position 1 must be below position 0.
+    below: bool,
+}
+
+impl EdgeFilter {
+    const LEVEL0: u8 = 1;
+    const LEVEL1: u8 = 2;
+
+    pub(crate) fn new<V: GraphView>(g: &V, plan: &QueryPlan) -> Self {
+        let (l0, l1) = (&plan.levels[0], &plan.levels[1]);
+        debug_assert!(l1.greater_than.iter().chain(&l1.less_than).all(|&j| j == 0));
+        let bytes = (0..g.num_vertices() as u32)
+            .map(|v| {
+                let (degree, label) = (g.degree(v), g.label(v));
+                let admits_at = |l: &LevelPlan| u8::from(degree >= l.degree && label == l.label);
+                (admits_at(l0) * Self::LEVEL0) | (admits_at(l1) * Self::LEVEL1)
+            })
+            .collect();
+        Self {
+            bytes,
+            above: !l1.greater_than.is_empty(),
+            below: !l1.less_than.is_empty(),
+        }
+    }
+
+    /// Whether `v1` passes level 0's tests.
+    #[inline]
+    fn first(&self, v1: u32) -> bool {
+        self.bytes[v1 as usize] & Self::LEVEL0 != 0
+    }
+
+    /// Whether `v2` passes level 1's tests.
+    #[inline]
+    fn second(&self, v2: u32) -> bool {
+        self.bytes[v2 as usize] & Self::LEVEL1 != 0
+    }
+
+    /// Whether the arc `(v1, v2)` is admitted: [`edge_admitted`]'s
+    /// answer, from the bytes.
+    #[inline]
+    fn admits(&self, v1: u32, v2: u32) -> bool {
+        v1 != v2
+            && (!self.above || v1 < v2)
+            && (!self.below || v2 < v1)
+            && self.first(v1)
+            && self.second(v2)
+    }
+}
+
 /// Host-side single-threaded edge filtering (STMatch's preprocessing
 /// step, "it can become a bottleneck on big graphs", §IV-B): the
 /// admitted arcs in row-major order, the same list [`edge_admitted`]
 /// gives arc by arc.
 ///
-/// One pass over the vertices settles the plan's level-0 and level-1
-/// degree and label tests, so the arc loop reads one byte per endpoint.
-/// A row whose source fails level 0 is skipped whole, and the
-/// position-0/1 symmetry constraint, when there is one, cuts each sorted
-/// row at `v1` (rows hold no self-loops, so the cut also drops
-/// `v2 == v1`).
+/// The arc loop reads an `EdgeFilter`'s byte per endpoint. A row
+/// whose source fails level 0 is skipped whole, and the position-0/1
+/// symmetry constraint, when there is one, cuts each sorted row at `v1`
+/// (rows hold no self-loops, so the cut also drops `v2 == v1`).
 pub fn host_filter_edges<V: GraphView>(g: &V, plan: &QueryPlan) -> Vec<(u32, u32)> {
-    const LEVEL0: u8 = 1;
-    const LEVEL1: u8 = 2;
-    let (l0, l1) = (&plan.levels[0], &plan.levels[1]);
-    let admits: Vec<u8> = (0..g.num_vertices() as u32)
-        .map(|v| {
-            let (degree, label) = (g.degree(v), g.label(v));
-            let admits_at = |l: &LevelPlan| u8::from(degree >= l.degree && label == l.label);
-            (admits_at(l0) * LEVEL0) | (admits_at(l1) * LEVEL1)
-        })
-        .collect();
-    let (above, below) = (!l1.greater_than.is_empty(), !l1.less_than.is_empty());
+    let filter = EdgeFilter::new(g, plan);
     let mut edges = Vec::new();
-    for (v1, &admit) in (0u32..).zip(&admits) {
-        if admit & LEVEL0 == 0 {
+    for v1 in 0..g.num_vertices() as u32 {
+        if !filter.first(v1) {
             continue;
         }
         let row = g.neighbors(v1);
-        let lo = if above {
+        let lo = if filter.above {
             row.partition_point(|&v2| v2 <= v1)
         } else {
             0
         };
-        let hi = if below {
+        let hi = if filter.below {
             row.partition_point(|&v2| v2 < v1)
         } else {
             row.len()
@@ -419,7 +426,7 @@ pub fn host_filter_edges<V: GraphView>(g: &V, plan: &QueryPlan) -> Vec<(u32, u32
         edges.extend(
             row[lo..hi.max(lo)]
                 .iter()
-                .filter(|&&v2| admits[v2 as usize] & LEVEL1 != 0)
+                .filter(|&&v2| filter.second(v2))
                 .map(|&v2| (v1, v2)),
         );
     }
@@ -435,6 +442,9 @@ pub(crate) struct Run<'a, V: GraphView> {
     pub(crate) cfg: &'a MatcherConfig,
     pub(crate) device: &'a Device,
     pub(crate) source: InitialSource,
+    /// The in-warp edge filter's settled vertex tests, when the source is
+    /// the arc stream.
+    arc_filter: Option<EdgeFilter>,
     /// Optional match consumer shared by all warps.
     pub(crate) sink: Option<&'a dyn MatchSink>,
     /// Warps waiting for work; the run ends once all of them are.
@@ -456,12 +466,14 @@ impl<'a, V: GraphView> Run<'a, V> {
         sink: Option<&'a dyn MatchSink>,
     ) -> Self {
         let start = Instant::now();
+        let arc_filter = matches!(source, InitialSource::Arcs).then(|| EdgeFilter::new(g, plan));
         Self {
             g,
             plan,
             cfg,
             device,
             source,
+            arc_filter,
             sink,
             idle: AtomicUsize::new(0),
             matches: AtomicU64::new(0),
@@ -469,6 +481,42 @@ impl<'a, V: GraphView> Run<'a, V> {
             start,
             deadline: cfg.time_limit.map(|l| start + l),
         }
+    }
+
+    /// Loads initial task `i`'s prefix into `m` and returns its length,
+    /// or `None` when the edge filter rejects arc `i` (each arc's verdict
+    /// counted in `stats`). `cursor` is the warp's place in the arc
+    /// stream, so consecutive arcs of a chunk cost no search.
+    pub(crate) fn seed(
+        &self,
+        i: usize,
+        m: &mut [u32],
+        stats: &mut RunStats,
+        cursor: &mut ArcCursor,
+    ) -> Option<usize> {
+        let (v1, v2) = match &self.source {
+            InitialSource::Arcs => {
+                let (v1, v2) = cursor.arc(self.g, i);
+                let filter = self.arc_filter.as_ref().expect("an arc run has a filter");
+                if filter.admits(v1, v2) {
+                    stats.edges_admitted += 1;
+                } else {
+                    stats.edges_filtered += 1;
+                    return None;
+                }
+                (v1, v2)
+            }
+            InitialSource::Edges(edges)
+            | InitialSource::Anchored { edges, .. }
+            | InitialSource::HostFiltered { edges, .. } => edges[i],
+            InitialSource::Partials { data, stride, .. } => {
+                m[..*stride].copy_from_slice(&data[i * stride..(i + 1) * stride]);
+                return Some(*stride);
+            }
+        };
+        m[0] = v1;
+        m[1] = v2;
+        Some(2)
     }
 
     /// Keeps the run's first error.
@@ -865,9 +913,7 @@ fn warp_main<'scope, 'env, V: GraphView, L: FactoryLevel>(
                         break;
                     }
                     let global = run.device.global_index(local);
-                    let Some(start_level) =
-                        run.source
-                            .seed(run.g, run.plan, global, &mut m, &mut counted, &mut cursor)
+                    let Some(start_level) = run.seed(global, &mut m, &mut counted, &mut cursor)
                     else {
                         continue;
                     };

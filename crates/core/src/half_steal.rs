@@ -77,10 +77,6 @@ struct HalfSteal<'a, V: GraphView> {
     run: Run<'a, V>,
     states: Vec<Mutex<VictimState>>,
     steals: AtomicU64,
-    /// Levels that seed intersection reuse for deeper levels must keep
-    /// their full candidate sets: a thief truncating such a level would
-    /// corrupt the victim's later reuse seeds and lose matches.
-    steal_forbidden: Vec<bool>,
 }
 
 /// Runs the half-steal engine on one device over `source`.
@@ -105,19 +101,12 @@ pub fn run<V: GraphView>(
         // correct d_max arrays.
         StackConfig::Paged { .. } => (g.max_degree().max(1), OverflowPolicy::Error),
     };
-    let mut steal_forbidden = vec![false; k];
-    for lvl in &plan.levels {
-        if let Some(step) = &lvl.reuse {
-            steal_forbidden[step.source] = true;
-        }
-    }
     let shared = HalfSteal {
         run: Run::new(g, plan, cfg, device, source, sink),
         states: (0..cfg.num_warps)
             .map(|_| Mutex::new(VictimState::new(k, capacity, policy)))
             .collect(),
         steals: AtomicU64::new(0),
-        steal_forbidden,
     };
     let warps = shared.run.launch(&|wid, _| warp_loop(&shared, wid));
     let stats = RunStats {
@@ -173,11 +162,7 @@ fn warp_loop<V: GraphView>(shared: &HalfSteal<'_, V>, wid: usize) -> RunStats {
             let mut roots = Vec::with_capacity(range.len());
             for local in range {
                 let i = run.device.global_index(local);
-                if run
-                    .source
-                    .seed(run.g, run.plan, i, &mut m, &mut counted, &mut cursor)
-                    .is_some()
-                {
+                if run.seed(i, &mut m, &mut counted, &mut cursor).is_some() {
                     roots.push((m[0], m[1]));
                 }
             }
@@ -194,7 +179,7 @@ fn warp_loop<V: GraphView>(shared: &HalfSteal<'_, V>, wid: usize) -> RunStats {
         for off in 1..num_warps {
             let victim = (wid + off) % num_warps;
             let mut v = lock(&shared.states[victim]);
-            if let Some(loot) = try_steal(&mut v, &shared.steal_forbidden) {
+            if let Some(loot) = try_steal(&mut v, run.plan) {
                 stolen = Some(loot);
                 break;
             }
@@ -326,8 +311,13 @@ fn step<V: GraphView>(
 
 /// STMatch's half steal: from the shallowest stealable position —
 /// unprocessed root edges first, then the shallowest level with
-/// unconsumed candidates — take half of what remains.
-fn try_steal(v: &mut VictimState, steal_forbidden: &[bool]) -> Option<Loot> {
+/// unconsumed candidates — take half of what remains. A level that seeds
+/// intersection reuse for deeper levels ([`LevelPlan::reused`]) keeps
+/// its full candidate set: a thief truncating it would corrupt the
+/// victim's later reuse seeds and lose matches.
+///
+/// [`LevelPlan::reused`]: tdfs_query::plan::LevelPlan::reused
+fn try_steal(v: &mut VictimState, plan: &QueryPlan) -> Option<Loot> {
     // Roots ("level 1").
     let remaining_roots = v.roots.len() - v.root_iter;
     if remaining_roots >= 2 {
@@ -342,7 +332,7 @@ fn try_steal(v: &mut VictimState, steal_forbidden: &[bool]) -> Option<Loot> {
     // candidate is not worth the copy).
     #[allow(clippy::needless_range_loop)] // indexes three parallel arrays
     for level in v.entry..=v.depth {
-        if steal_forbidden[level] {
+        if plan.levels[level].reused {
             continue;
         }
         let len = v.levels[level].len();

@@ -119,7 +119,10 @@ fn pbe_tiny_budget_forces_batches_and_stays_correct() {
 
 #[test]
 fn aggressive_timeout_decomposes_and_stays_correct() {
-    let g = barabasi_albert(400, 5, 31);
+    // Large enough that some warp probes a full `TAU_WINDOW` inside one
+    // P2 task with each walk's first row cut to its symmetry interval
+    // (at 400 vertices τ never fired for P2).
+    let g = barabasi_albert(800, 5, 31);
     for id in [2u8, 5, 8] {
         let cfg = MatcherConfig::tdfs()
             .with_warps(4)

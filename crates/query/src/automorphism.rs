@@ -68,17 +68,26 @@ pub fn stabilizer(group: &[Permutation], v: usize) -> Vec<Permutation> {
     group.iter().filter(|g| g[v] == v).cloned().collect()
 }
 
+/// The stabilizer of the undirected edge `{a, b}`: the elements of
+/// `group` that map `{a, b}` onto itself, keeping or swapping its ends.
+pub fn edge_stabilizer(group: &[Permutation], a: usize, b: usize) -> Vec<Permutation> {
+    group
+        .iter()
+        .filter(|g| (g[a], g[b]) == (a, b) || (g[a], g[b]) == (b, a))
+        .cloned()
+        .collect()
+}
+
 /// One representative per orbit of *undirected* pattern edges under
 /// `Aut(p)`, each returned as `(a, b)` with `a < b` in ascending order.
 ///
 /// Two pattern edges in the same orbit enumerate identical match sets
 /// when anchored to the same data edge, so incremental maintenance
-/// seeds one rooted plan per representative (in *both* orientations —
-/// an automorphism may map `{a, b}` onto `{b', a'}` reversed, and a
-/// rooted order distinguishes which endpoint sits at position 0).
-/// Every pattern edge lies in exactly one representative's orbit, so
-/// seeding all representatives over a changed data edge covers every
-/// embedding through that edge exactly once per `Aut`-class.
+/// seeds one rooted plan per representative (with both orientations of
+/// each changed data edge, since a rooted order distinguishes which
+/// endpoint sits at position 0). Every pattern edge lies in exactly one
+/// representative's orbit, so seeding all representatives over a
+/// changed data edge reaches every `Aut`-class through that edge.
 pub fn edge_orbit_reps(p: &Pattern) -> Vec<(usize, usize)> {
     let group = automorphisms(p);
     let n = p.num_vertices();

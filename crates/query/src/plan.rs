@@ -7,6 +7,7 @@
 
 use tdfs_graph::Label;
 
+use crate::automorphism::{automorphisms, edge_stabilizer};
 use crate::order::MatchingOrder;
 use crate::pattern::Pattern;
 use crate::reuse::{ReusePlan, ReuseStep};
@@ -44,6 +45,11 @@ pub struct LevelPlan {
     pub backward: Vec<usize>,
     /// Reuse source, if this level seeds from a stored intersection.
     pub reuse: Option<ReuseStep>,
+    /// Whether a later level seeds from this level's stored
+    /// intersection (is some level's [`ReuseStep::source`]). Such a
+    /// level is stored whole, since its reader's symmetry interval
+    /// differs; the engine may cut any other level's rows to its own.
+    pub reused: bool,
     /// Positions whose matched id must be `<` this level's candidate.
     pub greater_than: Vec<usize>,
     /// Positions whose matched id must be `>` this level's candidate.
@@ -59,8 +65,10 @@ pub struct QueryPlan {
     pub order: MatchingOrder,
     /// One [`LevelPlan`] per matching position.
     pub levels: Vec<LevelPlan>,
-    /// `|Aut(G_Q)|` (1 when symmetry breaking is disabled — the engine
-    /// then over-counts by the true factor, as EGSM does).
+    /// The size of the automorphism group the constraints break:
+    /// `|Aut(G_Q)|` for a full query (1 when symmetry breaking is
+    /// disabled — the engine then over-counts by the true factor, as
+    /// EGSM does), `|Stab(r)|` for a plan rooted at the pattern edge `r`.
     pub aut_size: usize,
     /// Options the plan was built with.
     pub options: PlanOptions,
@@ -74,41 +82,6 @@ impl QueryPlan {
 
     /// Compiles `pattern` with explicit options.
     pub fn build_with(pattern: &Pattern, options: PlanOptions) -> Self {
-        Self::from_order(pattern, MatchingOrder::compute(pattern), options)
-    }
-
-    /// Compiles a plan whose matching order is rooted at the pattern edge
-    /// `(a, b)` — positions 0 and 1 are `a` and `b`.
-    ///
-    /// Rooted plans drive incremental match maintenance: a changed data
-    /// edge is fed as the sole initial task for positions `(0, 1)`, so
-    /// the engine enumerates exactly the embeddings mapping `(a, b)` onto
-    /// that edge. Symmetry breaking is forced *off* (the caller divides
-    /// each pass's count by the anchor's stabilizer size instead, since
-    /// a symmetry constraint could discard the one orientation that
-    /// passes through the changed edge); `aut_size` is 1 and emissions
-    /// are raw embeddings.
-    pub fn build_rooted(pattern: &Pattern, a: usize, b: usize, options: PlanOptions) -> Self {
-        let options = PlanOptions {
-            symmetry_breaking: false,
-            ..options
-        };
-        Self::from_order(
-            pattern,
-            MatchingOrder::compute_rooted(pattern, a, b),
-            options,
-        )
-    }
-
-    fn from_order(pattern: &Pattern, order: MatchingOrder, options: PlanOptions) -> Self {
-        let k = order.len();
-        let reuse = if options.intersection_reuse {
-            ReusePlan::compute(&order)
-        } else {
-            ReusePlan {
-                steps: vec![None; k],
-            }
-        };
         let sb = if options.symmetry_breaking {
             SymmetryBreaking::compute(pattern)
         } else {
@@ -117,6 +90,55 @@ impl QueryPlan {
                 aut_size: 1,
             }
         };
+        Self::from_order(pattern, MatchingOrder::compute(pattern), options, sb)
+    }
+
+    /// Compiles a plan whose matching order is rooted at the pattern edge
+    /// `r = (a, b)` — positions 0 and 1 are `a` and `b`.
+    ///
+    /// Rooted plans drive incremental match maintenance: a changed data
+    /// edge is fed as an initial task for positions `(0, 1)`, so the
+    /// engine enumerates the embeddings mapping `(a, b)` onto that edge.
+    /// The embeddings of one match class that map `r` onto one data edge
+    /// differ by an element of `Stab(r)`, the automorphisms mapping the
+    /// undirected edge `r` onto itself, so the plan breaks that group
+    /// instead of `Aut` (a constraint from outside it could discard the
+    /// one image that passes through the changed edge). Orbits are fixed
+    /// in matching order, so when `Stab(r)` swaps `a` and `b` the first
+    /// constraint is position 0 < position 1 and the edge filter admits
+    /// one orientation of each seed. The plan keeps exactly one of the
+    /// `|Stab(r)|` images (see [`crate::symmetry`]); `aut_size` is
+    /// `|Stab(r)|`. Rooted plans break `Stab(r)` whatever
+    /// `options.symmetry_breaking` says, and record `true` there.
+    pub fn build_rooted(pattern: &Pattern, a: usize, b: usize, options: PlanOptions) -> Self {
+        let order = MatchingOrder::compute_rooted(pattern, a, b);
+        let sb =
+            SymmetryBreaking::fix(edge_stabilizer(&automorphisms(pattern), a, b), &order.order);
+        let options = PlanOptions {
+            symmetry_breaking: true,
+            ..options
+        };
+        Self::from_order(pattern, order, options, sb)
+    }
+
+    fn from_order(
+        pattern: &Pattern,
+        order: MatchingOrder,
+        options: PlanOptions,
+        sb: SymmetryBreaking,
+    ) -> Self {
+        let k = order.len();
+        let reuse = if options.intersection_reuse {
+            ReusePlan::compute(&order)
+        } else {
+            ReusePlan {
+                steps: vec![None; k],
+            }
+        };
+        let mut reused = vec![false; k];
+        for step in reuse.steps.iter().flatten() {
+            reused[step.source] = true;
+        }
 
         let mut greater_than: Vec<Vec<usize>> = vec![Vec::new(); k];
         let mut less_than: Vec<Vec<usize>> = vec![Vec::new(); k];
@@ -142,6 +164,7 @@ impl QueryPlan {
                     degree: pattern.degree(u),
                     backward: order.backward[i].clone(),
                     reuse: reuse.steps[i].clone(),
+                    reused: reused[i],
                     greater_than: std::mem::take(&mut greater_than[i]),
                     less_than: std::mem::take(&mut less_than[i]),
                 }
@@ -271,26 +294,62 @@ mod tests {
     }
 
     #[test]
-    fn rooted_plan_pins_anchor_and_disables_symmetry() {
-        for id in PatternId::all() {
-            let p = id.pattern();
-            for &(a, b) in &crate::automorphism::edge_orbit_reps(&p) {
+    fn rooted_plan_pins_anchor_and_breaks_its_stabilizer() {
+        let mut patterns: Vec<Pattern> = PatternId::all().map(|id| id.pattern()).collect();
+        patterns.push(Pattern::cycle(4));
+        for p in &patterns {
+            let auts = crate::automorphism::automorphisms(p);
+            for &(a, b) in &crate::automorphism::edge_orbit_reps(p) {
                 for (x, y) in [(a, b), (b, a)] {
-                    let plan = QueryPlan::build_rooted(&p, x, y, PlanOptions::default());
-                    assert_eq!(plan.order.order[0], x, "{}", id.name());
-                    assert_eq!(plan.order.order[1], y, "{}", id.name());
-                    assert_eq!(plan.aut_size, 1);
-                    assert!(!plan.options.symmetry_breaking);
-                    assert!(plan
-                        .levels
-                        .iter()
-                        .all(|l| l.greater_than.is_empty() && l.less_than.is_empty()));
-                    // Position 1 is backward-adjacent to position 0, the
-                    // invariant the edge-seeded task path relies on.
-                    assert_eq!(plan.levels[1].backward, vec![0]);
+                    let stab = crate::automorphism::edge_stabilizer(&auts, x, y);
+                    // Symmetry breaking off in the options changes nothing.
+                    for symmetry_breaking in [true, false] {
+                        let options = PlanOptions {
+                            symmetry_breaking,
+                            intersection_reuse: true,
+                        };
+                        let plan = QueryPlan::build_rooted(p, x, y, options);
+                        let at = format!("{p:?} ({x},{y})");
+                        assert_eq!(plan.order.order[0], x, "{at}");
+                        assert_eq!(plan.order.order[1], y, "{at}");
+                        assert_eq!(plan.aut_size, stab.len(), "{at}");
+                        assert!(plan.options.symmetry_breaking, "{at}");
+                        // The anchor's pair constraint, position 0 < 1,
+                        // is there exactly when Stab(r) swaps its ends,
+                        // and no constraint puts position 1 below 0.
+                        let swaps = stab.iter().any(|s| s[x] == y);
+                        assert_eq!(plan.levels[1].greater_than.contains(&0), swaps, "{at}");
+                        assert!(plan.levels[1].less_than.is_empty(), "{at}");
+                        // Position 1 is backward-adjacent to position 0,
+                        // the invariant the edge-seeded task path relies
+                        // on.
+                        assert_eq!(plan.levels[1].backward, vec![0]);
+                    }
                 }
             }
         }
+        // The house's four edge orbits, in `edge_orbit_reps` order.
+        let house = PatternId(3).pattern();
+        let sizes: Vec<usize> = crate::automorphism::edge_orbit_reps(&house)
+            .iter()
+            .map(|&(a, b)| QueryPlan::build_rooted(&house, a, b, PlanOptions::default()).aut_size)
+            .collect();
+        assert_eq!(sizes, vec![2, 1, 1, 2]);
+    }
+
+    #[test]
+    fn reused_flags_mark_reuse_sources() {
+        for id in PatternId::all() {
+            let plan = QueryPlan::build(&id.pattern());
+            for (i, level) in plan.levels.iter().enumerate() {
+                let read = plan
+                    .levels
+                    .iter()
+                    .any(|l| l.reuse.as_ref().is_some_and(|s| s.source == i));
+                assert_eq!(level.reused, read, "{} level {i}", id.name());
+            }
+        }
+        assert!(QueryPlan::build(&PatternId(7).pattern()).levels[2].reused);
     }
 
     #[test]

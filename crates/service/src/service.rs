@@ -1607,10 +1607,10 @@ impl Service {
     /// Runs one anchored pass per rooted plan, on the calling thread,
     /// through the durable run client queries use ([`run_durable`]).
     /// Each pass keeps only the matches whose smallest changed edge is
-    /// its anchor, so it counts every class it owns `|Stab(r)|` times,
-    /// and the side's count is the sum of the quotients (see
-    /// [`crate::standing`]). Only a subscription with embeddings feeds
-    /// its passes into a [`DedupSink`].
+    /// its anchor and breaks its anchor's stabilizer, so it counts every
+    /// class it owns once, and the side's count is the sum of the
+    /// passes' counts (see [`crate::standing`]). Only a subscription with
+    /// embeddings feeds its passes into a [`DedupSink`].
     fn maintain(
         &self,
         sq: &StandingQuery,
@@ -1637,18 +1637,12 @@ impl Service {
             resume: None,
         };
         let mut count = 0;
-        for rooted in &sq.plans {
+        for plan in &sq.plans {
             lock_metrics(&self.inner).maintenance_jobs += 1;
             let now = Instant::now();
-            let matches = run_durable(&self.inner, &run, &rooted.plan, None, None, now, false)
+            count += run_durable(&self.inner, &run, plan, None, None, now, false)
                 .1?
                 .matches;
-            debug_assert_eq!(
-                matches % rooted.stabilizer,
-                0,
-                "a pass counts each class it owns |Stab(r)| times"
-            );
-            count += matches / rooted.stabilizer;
         }
         let embeddings = dedup.map(|d| d.take());
         debug_assert!(embeddings.as_ref().is_none_or(|e| e.len() as u64 == count));

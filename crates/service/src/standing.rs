@@ -31,38 +31,39 @@
 //! each changed data edge. Any match `m` that maps some pattern edge
 //! `{p, q}` onto a changed data edge has an automorphic image mapping
 //! the orbit representative of `{p, q}` onto that edge, so the sweep
-//! reaches every match class. Rooted plans disable symmetry breaking (a
-//! symmetry constraint could discard exactly the orientation that
-//! passes through the changed edge), so a class can surface once per
-//! changed edge it contains, per orbit, per orientation.
+//! reaches every match class.
 //!
 //! **Attribution** removes the repeats across changed edges. The batch
 //! side's changed edges are ranked in ascending endpoint order, and a
 //! pass anchored at changed edge `e` keeps a match only if no other
 //! pattern edge of the match lands on a changed edge ranked before `e`
 //! ([`tdfs_core::attribution::ChangedEdges::owns`], checked in the leaf
-//! predicate every engine shares). A class is then kept only where the
-//! pattern edge it maps onto its smallest changed edge `e*` is pinned
-//! onto `e*`: in the pass of that pattern edge's orbit representative
-//! `r`, once per automorphism mapping `r` onto it.
+//! predicate every engine shares). A class is then kept only in the
+//! pass of the representative `r` whose orbit holds the pattern edge
+//! mapped onto its smallest changed edge `e*`, and only by embeddings
+//! that map `r` onto `e*`.
 //!
-//! **Division** removes the rest. That is `|Stab(r)| = |Aut| /
-//! |orbit(r)|` automorphisms (the stabilizer of the undirected edge
-//! `r`), so pass `r` counts each class it owns exactly `|Stab(r)|`
-//! times, and a side's distinct-match count is
-//!
-//! ```text
-//! Σ_r count_r / |Stab(r)|
-//! ```
+//! **Stabilizer constraints** remove the rest. Those embeddings differ
+//! by an element of `Stab(r)`, the automorphisms mapping the undirected
+//! edge `r` onto itself, so there are `|Stab(r)|` of them. The rooted
+//! plan breaks `Stab(r)` by orbit fixing, which keeps exactly one image
+//! of each such class (the argument of [`tdfs_query::symmetry`], with
+//! `Stab(r)` in place of `Aut`), and `owns` gives every one of them the
+//! same answer, since it reads only the match's data edges, which they
+//! share. So each pass counts each class it owns once, and a side's
+//! distinct-match count is the plain sum of its passes' counts. When
+//! `Stab(r)` swaps `a` and `b`, the first constraint is position 0 <
+//! position 1, and the seed filter drops the other orientation of every
+//! changed edge before any walk starts.
 //!
 //! The counts are the durable run's, published once per shard by its
 //! epoch-fenced acks, so a reclaimed or re-leased shard never counts
 //! twice. A count-only subscription therefore runs plain engine counts:
 //! no sink, no shard buffer, no canonicalization and no set. Only a
 //! subscription that asked for embeddings feeds its passes into a
-//! `DedupSink`, which folds the `|Stab(r)|` images of each class (and
-//! the repeats of a reclaimed shard's emissions) into one canonical
-//! tuple; its distinct count equals the divided count.
+//! `DedupSink`, which canonicalizes each class's tuple and folds the
+//! repeats of a reclaimed shard's emissions; its distinct count equals
+//! the summed count.
 //!
 //! Deletions are counted against the pre-batch view (the matches being
 //! destroyed still exist there); insertions against the not-yet-
@@ -160,24 +161,15 @@ pub(crate) struct StandingQuery {
     pub(crate) report_embeddings: bool,
     /// The pattern's full automorphism group (canonicalization key).
     pub(crate) aut: Arc<Vec<Permutation>>,
-    /// One pass per undirected pattern-edge orbit representative.
-    pub(crate) plans: Vec<RootedPlan>,
+    /// One pass per undirected pattern-edge orbit representative `r`:
+    /// the plan rooted at `r`, which pins `r` to matching-order positions
+    /// 0 and 1, where the changed-edge seeds land, and breaks `Stab(r)`.
+    pub(crate) plans: Vec<Arc<QueryPlan>>,
     /// Where deltas go.
     pub(crate) callback: Arc<NotifyFn>,
     /// Highest graph version already delivered: a delta at or below it
     /// is never delivered.
     pub(crate) last_version: AtomicU64,
-}
-
-/// One maintenance pass of a standing query: the symmetry-free plan
-/// rooted at an edge-orbit representative `r`, which pins `r` to
-/// matching-order positions 0 and 1, where the changed-edge seeds land.
-pub(crate) struct RootedPlan {
-    pub(crate) plan: Arc<QueryPlan>,
-    /// `|Stab(r)|`: the automorphisms mapping the undirected edge `r`
-    /// onto itself, which is how many times the pass counts each match
-    /// class it owns.
-    pub(crate) stabilizer: u64,
 }
 
 impl StandingQuery {
@@ -196,13 +188,7 @@ impl StandingQuery {
         let aut = Arc::new(automorphisms(&request.pattern));
         let plans = edge_orbit_reps(&request.pattern)
             .into_iter()
-            .map(|(a, b)| RootedPlan {
-                plan: Arc::new(QueryPlan::build_rooted(&request.pattern, a, b, config.plan)),
-                stabilizer: aut
-                    .iter()
-                    .filter(|s| (s[a], s[b]) == (a, b) || (s[a], s[b]) == (b, a))
-                    .count() as u64,
-            })
+            .map(|(a, b)| Arc::new(QueryPlan::build_rooted(&request.pattern, a, b, config.plan)))
             .collect();
         Self {
             graph: request.graph,
@@ -236,13 +222,13 @@ pub(crate) fn oriented_seeds(changed: &[(u32, u32)]) -> Vec<(u32, u32)> {
 pub(crate) type DeltaSide = (u64, Option<Vec<Vec<u32>>>);
 
 /// Canonicalizing match collector shared by every maintenance pass of
-/// one (standing query with embeddings × batch side). Under attribution
-/// a pass still reaches each class it owns once per automorphism in
-/// its anchor's stabilizer, and a reclaimed shard's emissions may
-/// arrive twice (emissions are at-least-once under lease reclaim races;
-/// see [`crate::durable`]); this sink collapses both kinds of repeat to
-/// one canonical representative per automorphism class. Count-only
-/// subscriptions never build one.
+/// one (standing query with embeddings × batch side). A pass emits each
+/// class it owns as one embedding, in its rooted order's vertex
+/// assignment, and a reclaimed shard's emissions may arrive twice
+/// (emissions are at-least-once under lease reclaim races; see
+/// [`crate::durable`]); this sink maps each embedding to its class's
+/// canonical tuple and folds the repeats. Count-only subscriptions
+/// never build one.
 ///
 /// Receives **pattern-vertex-indexed** assignments: the durable run
 /// remaps matching-order positions before it feeds a client sink.
@@ -341,15 +327,25 @@ mod tests {
         assert_eq!(sq.plans.len(), 4, "house has four edge orbits");
         assert!(sq.config.time_limit.is_none());
         assert!(sq.config.cancel.is_none());
-        for rooted in &sq.plans {
-            assert_eq!(rooted.plan.aut_size, 1, "rooted plans are symmetry-free");
-        }
         // The house's one non-trivial automorphism mirrors it across the
         // axis through the roof: it reverses edges {0,1} and {2,3}, so
         // those two orbits have stabilizers of 2, and it swaps the walls
-        // and the roof's sides, whose stabilizers are trivial.
-        let stabilizers: Vec<u64> = sq.plans.iter().map(|r| r.stabilizer).collect();
-        assert_eq!(stabilizers, vec![2, 1, 1, 2]);
+        // and the roof's sides, whose stabilizers are trivial. Each
+        // rooted plan breaks its anchor's stabilizer, and the anchor's
+        // pair constraint appears exactly where that stabilizer reverses
+        // the anchor.
+        let sizes: Vec<usize> = sq.plans.iter().map(|plan| plan.aut_size).collect();
+        assert_eq!(sizes, vec![2, 1, 1, 2]);
+        for plan in &sq.plans {
+            let pair = plan.levels[1].greater_than == [0];
+            assert_eq!(pair, plan.aut_size == 2);
+            let constraints: usize = plan
+                .levels
+                .iter()
+                .map(|l| l.greater_than.len() + l.less_than.len())
+                .sum();
+            assert_eq!(constraints, usize::from(pair));
+        }
         assert_eq!(
             sq.last_version.load(std::sync::atomic::Ordering::Relaxed),
             3
